@@ -10,19 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals, null_space
 
-from .chain import (
+# max_var_lipschitz is not called here (invariant_max_var computes maxVar of
+# nu), but perfbench/tracing.py wraps it under this module's name.
+from .chain import (  # noqa: F401
     Chain,
     averaging,
     invariant_distribution,
+    invariant_max_var,
     lipschitz_constant,
     local_stats,
     max_var_lipschitz,
-    n_step,
-    stat_dim,
 )
 from .curvature import kappa_global
 from .errors import (
     HypothesisFails,
+    InequalityFails,
     LambdaTooLarge,
     NegativeCurvatureSomewhere,
     NonPositiveCurvature,
@@ -105,9 +107,9 @@ def spectral_report(chain: Chain, kappa: float, n_random: int = 20, seed: int = 
     B = V.T @ P @ V
     moduli = np.sort(np.abs(eigvals(B)))[::-1]
     radius = float(moduli[0]) if len(moduli) else 0.0
-    if kappa > 0:
-        assert radius <= 1.0 - kappa + SPECTRAL_ATOL, (
-            f"spectral radius {radius!r} exceeds 1 - kappa = {1 - kappa!r}"
+    if kappa > 0 and radius > 1.0 - kappa + SPECTRAL_ATOL:
+        raise InequalityFails(
+            f"Prop. 29: spectral radius {radius!r} exceeds 1 - kappa = {1 - kappa!r}"
         )
 
     local_ratio = gradient_ratio = None
@@ -174,11 +176,15 @@ def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
     n_inf = min(finite_n)
     bound = sigma2 / (n_inf * kappa * (2.0 - kappa))
     mode = "exact" if len(nu.support()) <= 12 else "heuristic"
-    extremal_var, _f, _cert = max_var_lipschitz(chain.space, nu, mode)
-    statdim = stat_dim(chain.space, nu, mode)
-    assert extremal_var <= bound + CHECK_ATOL, (
-        f"extremal Lipschitz variance {extremal_var!r} exceeds bound {bound!r}"
-    )
+    extremal_var = invariant_max_var(chain, mode)
+    # StatDim(X, d, nu): the spread of nu over its maximal Lipschitz variance.
+    w = nu.weights
+    statdim = 0.5 * float(w @ chain.space.dist ** 2 @ w) / extremal_var
+    if extremal_var > bound + CHECK_ATOL:
+        raise InequalityFails(
+            f"Prop. 31: extremal Lipschitz variance {extremal_var!r} exceeds "
+            f"sigma^2 / (n kappa (2 - kappa)) = {bound!r}"
+        )
     return bound, extremal_var, statdim
 
 
@@ -237,7 +243,7 @@ def finite_time_variance(chain: Chain, x, k: int, kappa: float) -> float:
 def range_gradient(space, f, lam: float) -> np.ndarray:
     """Def. 37: (Df)(x) = sup over pairs y != y' of
     |f(y)-f(y')|/d(y,y') * e^{-lam(d(x,y)+d(x,y'))}; Df is 2 lam-log-Lipschitz
-    (asserted post hoc)."""
+    (checked post hoc)."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     f = np.asarray(f, dtype=np.float64)
@@ -253,7 +259,11 @@ def range_gradient(space, f, lam: float) -> np.ndarray:
         logs = np.log(Df[positive])
         dd = d[np.ix_(positive, positive)]
         gap = np.abs(logs[:, None] - logs[None, :]) - 2.0 * lam * dd
-        assert gap.max() <= 1e-9, "Df is not 2*lambda-log-Lipschitz"
+        if gap.max() > 1e-9:
+            raise InequalityFails(
+                f"Def. 37: Df is not 2 lambda-log-Lipschitz "
+                f"(|log Df(x) - log Df(y)| exceeds 2 lambda d(x, y) by {float(gap.max())!r})"
+            )
     return Df
 
 

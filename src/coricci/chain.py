@@ -4,7 +4,6 @@ jump, spread and local dimension."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import null_space
@@ -19,6 +18,7 @@ from .errors import (
     UnknownPoint,
 )
 from .metric import FiniteMetricSpace
+from .transport import MASS_ATOL, Distribution
 
 ROW_ATOL = 1e-10
 DETAILED_BALANCE_ATOL = 1e-10
@@ -32,13 +32,20 @@ class Chain:
 
     dt is set when the chain discretizes a continuous-time process, so that
     reports can present kappa/dt and sigma^2/dt as rate quantities.
-    Immutable after construction; safe to share across threads.
+
+    The kernel never changes after construction.  Quantities derived from
+    it (the dense matrix, the invariant distribution, local statistics and
+    the maximal Lipschitz variance of nu) are filled in lazily, once per
+    chain, and live as long as the chain does.  The chain is safe to share
+    across threads: two threads that fill the same entry at once only
+    repeat the work and store equal values.
     """
 
     space: FiniteMetricSpace
     kernel: csr_matrix
     dt: float | None = None
     _dense: np.ndarray = field(repr=False, compare=False, default=None)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -51,6 +58,14 @@ class Chain:
 
     def row(self, x) -> np.ndarray:
         return self.dense()[self.space.index(x)]
+
+    def _cached(self, key, compute):
+        """compute(), evaluated on the first request for key only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,11 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
         mat = np.asarray(rows, dtype=np.float64)
         if mat.shape != (n, n):
             raise RowNotStochastic("kernel matrix shape does not match the space")
+    if not np.all(np.isfinite(mat)):
+        i = np.argwhere(~np.isfinite(mat))[0][0]
+        raise RowNotStochastic(
+            f"row of {space.points[i]!r} has a non-finite probability"
+        )
     if np.any(mat < 0):
         i, j = np.argwhere(mat < 0)[0]
         raise NegativeProbability(
@@ -105,6 +125,12 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
         raise RowNotStochastic(
             f"row of {space.points[i]!r} sums to {sums[i]!r}, not 1"
         )
+    # One tolerance for every row: a row accepted above but off by more than
+    # a Distribution allows is rescaled to sum to 1; rows already within
+    # MASS_ATOL are kept bit for bit.
+    off = np.abs(sums - 1.0) > MASS_ATOL
+    if off.any():
+        mat = np.where(off[:, None], mat / sums[:, None], mat)
     if dt is not None and dt <= 0:
         raise ValueError("dt must be positive")
     return Chain(space, csr_matrix(mat), None if dt is None else float(dt))
@@ -134,9 +160,13 @@ def push_forward(chain: Chain, weights: np.ndarray) -> np.ndarray:
 
 
 def invariant_distribution(chain: Chain):
-    """Invariant nu with reversibility and uniqueness flags.
+    """Invariant nu with reversibility and uniqueness flags, computed once
+    per chain."""
+    return chain._cached("invariant", lambda: _solve_invariant(chain))
 
-    The kernel's recurrent classes are the sink components of the strongly
+
+def _solve_invariant(chain: Chain):
+    """The kernel's recurrent classes are the sink components of the strongly
     connected component DAG; for a unique invariant distribution there must
     be exactly one, and nu is the left eigenvector of the kernel restricted
     to it.  Uniqueness is double-checked by the rank of (M - I) on the
@@ -171,8 +201,6 @@ def invariant_distribution(chain: Chain):
 
     flux = nu[:, None] * P
     reversible = bool(np.max(np.abs(flux - flux.T)) <= DETAILED_BALANCE_ATOL)
-
-    from .transport import Distribution
 
     return Distribution(nu), reversible, unique
 
@@ -332,10 +360,14 @@ def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
 
 
 def local_stats(chain: Chain, x, n_x_mode="exact") -> LocalStats:
-    """Jump, spread, granularity and local dimension at x (Def. 18)."""
-    from .transport import Distribution
-
+    """Jump, spread, granularity and local dimension at x (Def. 18),
+    computed once per chain, point and n_x mode."""
     i = chain.space.index(x)
+    return chain._cached(("local_stats", i, n_x_mode),
+                         lambda: _local_stats(chain, i, n_x_mode))
+
+
+def _local_stats(chain: Chain, i: int, n_x_mode) -> LocalStats:
     row = chain.dense()[i]
     d = chain.space.dist
     J = float(row @ d[i])
@@ -350,9 +382,9 @@ def local_stats(chain: Chain, x, n_x_mode="exact") -> LocalStats:
     return LocalStats(J, sigma2, sigma_inf, n_x, cert)
 
 
-def stat_dim(space: FiniteMetricSpace, measure, mode="exact") -> float:
-    """StatDim(X, d, mu): spread over maximal 1-Lipschitz variance."""
-    w = measure.weights
-    sigma2 = 0.5 * float(w @ space.dist ** 2 @ w)
-    max_var, _f, _cert = max_var_lipschitz(space, measure, mode)
-    return sigma2 / max_var
+def invariant_max_var(chain: Chain, mode="exact") -> float:
+    """sup of Var_nu f over 1-Lipschitz f for the invariant distribution nu,
+    computed once per chain and mode."""
+    nu, _rev, _unique = invariant_distribution(chain)
+    return chain._cached(("max_var_nu", mode),
+                         lambda: max_var_lipschitz(chain.space, nu, mode)[0])

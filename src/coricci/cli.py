@@ -16,8 +16,7 @@ from . import bounds as bounds_mod
 from . import chainfile, gallery
 from .chain import invariant_distribution, local_stats
 from .curvature import kappa_global
-from .errors import CoricciError
-from .metric import FiniteMetricSpace
+from .errors import InequalityFails
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -53,14 +52,6 @@ def _emit(doc, rows, fmt):
             writer.writerow({k: _fmt_str(v) if isinstance(v, (float, np.floating)) else v
                              for k, v in row.items()})
         click.echo(out.getvalue().rstrip("\n"))
-
-
-def _load(path):
-    try:
-        return chainfile.load_chain(path)
-    except (OSError, CoricciError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
 
 
 def _threads(threads):
@@ -111,7 +102,27 @@ geodesic_option = click.option("--geodesic", type=float, default=None,
                                help="Scan only pairs within EPS (geodesic mode).")
 
 
-@click.group()
+class _Commands(click.Group):
+    """Maps every failure of a command to an exit code: 1 when an inequality
+    of the paper fails, 2 for anything else (bad input, or an error the
+    input provoked), with one line on stderr and no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort):
+            raise
+        except InequalityFails as exc:
+            click.echo(f"check failed: {exc}", err=True)
+            sys.exit(EXIT_CHECK_FAILED)
+        except Exception as exc:
+            click.echo(f"error: {' '.join(str(exc).split()) or type(exc).__name__}",
+                       err=True)
+            sys.exit(EXIT_INPUT_ERROR)
+
+
+@click.group(cls=_Commands)
 def main():
     """Coarse Ricci curvature of Markov chains on finite metric spaces."""
 
@@ -143,12 +154,8 @@ def gen(preset, output, big_k, graph, **params):
         kwargs["graph"] = graph
     if "n" in kwargs:
         kwargs["N"] = kwargs.pop("n")
-    try:
-        chain = gallery.generate(gallery.PresetSpec(preset, kwargs))
-        chainfile.save_chain(chain, output)
-    except (OSError, CoricciError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = gallery.generate(gallery.PresetSpec(preset, kwargs))
+    chainfile.save_chain(chain, output)
     click.echo(f"wrote {preset} chain ({chain.n} states) to {output}")
 
 
@@ -162,12 +169,8 @@ def gen(preset, output, big_k, graph, **params):
 @_schema_option("curvature")
 def curvature(chain_file, geodesic, delta, fmt, threads):
     """Pointwise and global coarse Ricci curvature."""
-    chain = _load(chain_file)
-    try:
-        rep = _report(chain, geodesic, delta, _threads(threads))
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = _report(chain, geodesic, delta, _threads(threads))
     rows = [
         {"x": str(p.x), "y": str(p.y), "kappa": p.kappa,
          "kappa_plus": p.kappa_plus, "kappa_minus": p.kappa_minus,
@@ -191,13 +194,9 @@ def curvature(chain_file, geodesic, delta, fmt, threads):
 @_schema_option("spectral")
 def spectral(chain_file, geodesic, fmt, threads):
     """Spectral radius on mean-zero functions and Poincare inequalities."""
-    chain = _load(chain_file)
-    try:
-        rep = _report(chain, geodesic, threads=_threads(threads))
-        sp = bounds_mod.spectral_report(chain, rep.global_kappa)
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = _report(chain, geodesic, threads=_threads(threads))
+    sp = bounds_mod.spectral_report(chain, rep.global_kappa)
     rows = [
         {"check": "spectral_radius", "value": sp.spectral_radius},
         {"check": "one_minus_kappa", "value": 1.0 - sp.kappa_used},
@@ -232,15 +231,11 @@ def spectral(chain_file, geodesic, fmt, threads):
 @_schema_option("bounds")
 def bounds_cmd(chain_file, geodesic, fmt, threads):
     """Bonnet-Myers diameter bounds and the Prop. 31 variance bound."""
-    chain = _load(chain_file)
-    try:
-        rep = _report(chain, geodesic, threads=_threads(threads))
-        diam_bound, diam_actual, per_pair, avg = bounds_mod.bonnet_myers(chain, rep)
-        var_bound, extremal, statdim = bounds_mod.variance_bound(
-            chain, rep.global_kappa)
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = _report(chain, geodesic, threads=_threads(threads))
+    diam_bound, diam_actual, per_pair, avg = bounds_mod.bonnet_myers(chain, rep)
+    var_bound, extremal, statdim = bounds_mod.variance_bound(
+        chain, rep.global_kappa)
     rows = [
         {"check": "diameter", "lhs": diam_actual, "rhs": diam_bound,
          "holds": diam_actual <= diam_bound + 1e-9},
@@ -277,15 +272,11 @@ def bounds_cmd(chain_file, geodesic, fmt, threads):
 @_schema_option("concentration")
 def concentration(chain_file, geodesic, origin, fmt, threads):
     """Thm. 32 Gaussian concentration for f = distance to an origin."""
-    chain = _load(chain_file)
-    try:
-        rep = _report(chain, geodesic, threads=_threads(threads))
-        o = origin if origin is not None else chain.space.points[0]
-        f = chain.space.dist[:, chain.space.index(o)]
-        conc = bounds_mod.gaussian_concentration(chain, f, rep.global_kappa)
-    except (KeyError, CoricciError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = _report(chain, geodesic, threads=_threads(threads))
+    o = origin if origin is not None else chain.space.points[0]
+    f = chain.space.dist[:, chain.space.index(o)]
+    conc = bounds_mod.gaussian_concentration(chain, f, rep.global_kappa)
     rows = [
         {"t": t, "exact_tail": e, "bound": b}
         for t, e, b in zip(conc.grid, conc.exact_tails, conc.bounds)
@@ -313,20 +304,16 @@ def concentration(chain_file, geodesic, origin, fmt, threads):
 @_schema_option("logsobolev")
 def logsobolev(chain_file, geodesic, lam, seed, fmt, threads):
     """Thm. 40 log-Sobolev inequalities for a random positive function."""
-    chain = _load(chain_file)
-    try:
-        rep = _report(chain, geodesic, threads=_threads(threads))
-        U = max((p.U for p in rep.pairs if p.U is not None), default=0.0)
-        if lam is None:
-            lam = bounds_mod.admissible_lambda(chain, U)
-        rng = np.random.default_rng(seed)
-        f = np.exp(rng.normal(size=chain.n))
-        var_lhs, var_rhs, ent_lhs, ent_rhs, _v, holds = bounds_mod.log_sobolev_check(
-            chain, f, lam, rep.global_kappa, U)
-        violations = bounds_mod.commutation_check(chain, f, lam, rep.global_kappa, U)
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = _report(chain, geodesic, threads=_threads(threads))
+    U = max((p.U for p in rep.pairs if p.U is not None), default=0.0)
+    if lam is None:
+        lam = bounds_mod.admissible_lambda(chain, U)
+    rng = np.random.default_rng(seed)
+    f = np.exp(rng.normal(size=chain.n))
+    var_lhs, var_rhs, ent_lhs, ent_rhs, _v, holds = bounds_mod.log_sobolev_check(
+        chain, f, lam, rep.global_kappa, U)
+    violations = bounds_mod.commutation_check(chain, f, lam, rep.global_kappa, U)
     rows = [
         {"check": "variance", "lhs": var_lhs, "rhs": var_rhs,
          "holds": var_lhs <= var_rhs + 1e-9},
@@ -353,12 +340,8 @@ def logsobolev(chain_file, geodesic, lam, seed, fmt, threads):
 @_schema_option("expconc")
 def expconc(chain_file, origin, radius, s, fmt):
     """Thm. 44 exponential concentration around an attracting point."""
-    chain = _load(chain_file)
-    try:
-        rep = bounds_mod.exponential_concentration(chain, origin, radius, s)
-    except (KeyError, CoricciError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep = bounds_mod.exponential_concentration(chain, origin, radius, s)
     doc = {"origin": str(rep.o), "r": rep.r, "s": rep.s, "rho": rep.rho,
            "D": rep.D, "m": rep.m, "lhs": rep.lhs, "rhs": rep.rhs,
            "holds": rep.holds, "lemma45_holds": rep.lemma45_holds}
@@ -410,12 +393,8 @@ def _verify_checks(chain, geodesic, threads):
 @_schema_option("verify")
 def verify(chain_file, run_all, geodesic, fmt, threads):
     """Run the full battery of mathematical checks; exit 1 on any failure."""
-    chain = _load(chain_file)
-    try:
-        rep, checks = _verify_checks(chain, geodesic, _threads(threads))
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep, checks = _verify_checks(chain, geodesic, _threads(threads))
     rows = [{"check": name, "holds": holds} for name, holds in checks]
     doc = {"global_kappa": rep.global_kappa, "checks": rows,
            "all_pass": all(h for _n, h in checks)}
@@ -434,14 +413,10 @@ def verify(chain_file, run_all, geodesic, fmt, threads):
 @_schema_option("report")
 def report(chain_file, geodesic, fmt, threads):
     """Everything in a single document: curvature, spectrum, bounds."""
-    chain = _load(chain_file)
-    try:
-        rep, checks = _verify_checks(chain, geodesic, _threads(threads))
-        nu, reversible, unique = invariant_distribution(chain)
-        stats = [local_stats(chain, p) for p in chain.space.points]
-    except CoricciError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    chain = chainfile.load_chain(chain_file)
+    rep, checks = _verify_checks(chain, geodesic, _threads(threads))
+    nu, reversible, unique = invariant_distribution(chain)
+    stats = [local_stats(chain, p) for p in chain.space.points]
     doc = {
         "states": chain.n,
         "global_kappa": rep.global_kappa,

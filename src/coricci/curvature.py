@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .chain import Chain, push_forward
-from .errors import NotGeodesic, SamePoint
+from .errors import NoPairs, NotGeodesic, SamePoint
 from .metric import is_epsilon_geodesic
 from .transport import Distribution, w1
 
@@ -35,18 +35,40 @@ class CurvatureReport:
     delta: float
 
 
-def kappa(chain: Chain, x, y, delta: float = 0.0) -> float:
-    """kappa(x,y) = 1 - T1(m_x, m_y)/d(x,y); delta > 0 gives the Def.-48
-    curvature up to delta, 1 - (T1 - delta)_+ / d."""
+def _pair_w1(chain: Chain, x, y):
+    """Indices of x and y and the certified W1 between their rows."""
     space = chain.space
     i, j = space.index(x), space.index(y)
     if i == j:
         raise SamePoint(f"curvature in the direction ({x!r}, {x!r}) is undefined")
+    dense = chain.dense()
+    return i, j, w1(Distribution(dense[i]), Distribution(dense[j]), space)
+
+
+def _coupling_parts(plan, dist, i, j):
+    """(kappa+, kappa-, U) at the pair (i, j): the positive and negative parts
+    of d(x,y) - d(x',y') integrated over the plan, divided by d(x,y), and
+    U = kappa-/kappa (None when kappa <= 0)."""
+    dxy = dist[i, j]
+    plus = minus = 0.0
+    for a, b, m in plan.entries:
+        change = dxy - dist[a, b]
+        if change > 0:
+            plus += m * change
+        else:
+            minus -= m * change
+    k_plus, k_minus = plus / dxy, minus / dxy
+    k = k_plus - k_minus
+    return k_plus, k_minus, (k_minus / k if k > 0 else None)
+
+
+def kappa(chain: Chain, x, y, delta: float = 0.0) -> float:
+    """kappa(x,y) = 1 - T1(m_x, m_y)/d(x,y); delta > 0 gives the Def.-48
+    curvature up to delta, 1 - (T1 - delta)_+ / d."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    dense = chain.dense()
-    cost = w1(Distribution(dense[i]), Distribution(dense[j]), space).cost
-    return 1.0 - max(cost - delta, 0.0) / space.dist[i, j]
+    i, j, res = _pair_w1(chain, x, y)
+    return 1.0 - max(res.cost - delta, 0.0) / chain.space.dist[i, j]
 
 
 def kappa_decomposition(chain: Chain, x, y):
@@ -57,25 +79,8 @@ def kappa_decomposition(chain: Chain, x, y):
     plans are not unique in general).  U = kappa-/kappa, undefined (None)
     when kappa <= 0.
     """
-    space = chain.space
-    i, j = space.index(x), space.index(y)
-    if i == j:
-        raise SamePoint(f"curvature in the direction ({x!r}, {x!r}) is undefined")
-    dense = chain.dense()
-    res = w1(Distribution(dense[i]), Distribution(dense[j]), space)
-    dxy = space.dist[i, j]
-    plus = minus = 0.0
-    for a, b, m in res.plan.entries:
-        change = dxy - space.dist[a, b]
-        if change > 0:
-            plus += m * change
-        else:
-            minus -= m * change
-    k_plus = plus / dxy
-    k_minus = minus / dxy
-    k = k_plus - k_minus
-    U = k_minus / k if k > 0 else None
-    return k_plus, k_minus, U
+    i, j, res = _pair_w1(chain, x, y)
+    return _coupling_parts(res.plan, chain.space.dist, i, j)
 
 
 def kappa_global(chain: Chain, mode="all-pairs", eps=None, delta: float = 0.0,
@@ -98,6 +103,8 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None, delta: float = 0.0,
         mode_str = "all-pairs"
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if space.n < 2:
+        raise NoPairs("the space has one point, so no pair to scan")
 
     dense = chain.dense()
     d = space.dist
@@ -111,17 +118,8 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None, delta: float = 0.0,
     def one_pair(ij):
         i, j = ij
         res = w1(rows[i], rows[j], space)
-        dxy = d[i, j]
-        k = 1.0 - max(res.cost - delta, 0.0) / dxy
-        plus = minus = 0.0
-        for a, b, m in res.plan.entries:
-            change = dxy - d[a, b]
-            if change > 0:
-                plus += m * change
-            else:
-                minus -= m * change
-        k_plus, k_minus = plus / dxy, minus / dxy
-        U = k_minus / (k_plus - k_minus) if k_plus - k_minus > 0 else None
+        k = 1.0 - max(res.cost - delta, 0.0) / d[i, j]
+        k_plus, k_minus, U = _coupling_parts(res.plan, d, i, j)
         return PairCurvature(space.points[i], space.points[j], k, k_plus, k_minus, U)
 
     if threads > 1:

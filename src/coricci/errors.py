@@ -45,6 +45,15 @@ class NotGeodesic(CoricciError):
     """The space fails the eps-geodesic precondition."""
 
 
+class NoPairs(CoricciError):
+    """The pair scan has no pair of distinct points (a one-point space)."""
+
+
+class InequalityFails(CoricciError):
+    """An inequality the theory guarantees failed numerically; the message
+    names it."""
+
+
 class NoConvergence(CoricciError):
     """Power-iteration fallback for the invariant distribution failed."""
 

@@ -1,12 +1,21 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import coricci as c
 from coricci import bounds, gallery
 from coricci.bounds import admissible_lambda
-from coricci.chain import build_chain, invariant_distribution, local_stats
+from coricci.chain import Chain, build_chain, invariant_distribution, local_stats
 from coricci.errors import (
+    CoricciError,
     HypothesisFails,
+    InequalityFails,
     LambdaTooLarge,
     NonPositiveCurvature,
     NonPositiveF,
@@ -311,3 +320,118 @@ def test_cor21_w1_decay_to_equilibrium():
         mu = c.push_forward(chain, mu)
         wk = w1(Distribution(mu), nu, chain.space).cost
         assert wk <= (1 - 1 / 3) ** k * w0 + 1e-9
+
+
+# ------------------------------------------------- inequalities that fail
+
+# Inputs on which each post-hoc check in bounds.py must fail: a curvature
+# bound above the true kappa = 1/3 of the 3-cube, and a distance table that
+# breaks the triangle inequality (d = 1.6 > 1.0 + 0.2), on which the range
+# gradient is no longer 2 lambda-log-Lipschitz.
+NON_METRIC = SimpleNamespace(
+    n=3, dist=np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 1.6], [0.2, 1.6, 0.0]])
+)
+FORCED_FAILURES = {
+    "Prop. 29": lambda: bounds.spectral_report(gallery.cube(3), 0.9),
+    "Prop. 31": lambda: bounds.variance_bound(gallery.cube(3), 0.5),
+    "Def. 37": lambda: bounds.range_gradient(
+        NON_METRIC, np.array([0.0, -1.0, -0.8]), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_FAILURES))
+def test_failed_inequality_is_named(name):
+    with pytest.raises(InequalityFails, match=name):
+        FORCED_FAILURES[name]()
+
+
+def test_failed_inequalities_raise_under_python_O():
+    """The checks are raised errors, not asserts that -O strips."""
+    tests_dir = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "import test_bounds as t\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not optimized')\n"
+        "for name, force in t.FORCED_FAILURES.items():\n"
+        "    try:\n"
+        "        force()\n"
+        "    except t.InequalityFails:\n"
+        "        print(name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == list(FORCED_FAILURES)
+
+
+# ------------------------------------------------- per-chain memo
+
+
+def _same(a, b):
+    """Exact equality of bound results: floats bit for bit, arrays
+    elementwise, dataclasses and sequences field by field."""
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _every_bound(get_chain, origin, r):
+    """Each bound of coricci.bounds, or the class of the error it raises,
+    with the local statistics and the invariant distribution; every
+    quantity is computed on the chain that get_chain() returns for it."""
+    chain = get_chain()
+    points = chain.space.points
+    kappa = c.kappa_global(chain, mode="geodesic", eps=1).global_kappa
+    f = chain.space.dist[:, 0]
+    g = np.exp(np.random.default_rng(0).normal(size=chain.n))
+    calls = {
+        "invariant": lambda ch: invariant_distribution(ch),
+        "stats_exact": lambda ch: [local_stats(ch, p) for p in points],
+        "stats_heuristic": lambda ch: [local_stats(ch, p, "heuristic") for p in points],
+        "spectral": lambda ch: bounds.spectral_report(ch, kappa),
+        "bonnet_myers": lambda ch: bounds.bonnet_myers(ch),
+        "variance": lambda ch: bounds.variance_bound(ch, kappa),
+        "gaussian": lambda ch: bounds.gaussian_concentration(ch, f, kappa),
+        "finite_time": lambda ch: bounds.finite_time_variance(ch, points[0], 5, kappa),
+        "lambda": lambda ch: admissible_lambda(ch, 0.5),
+        "commutation": lambda ch: bounds.commutation_check(
+            ch, g, admissible_lambda(ch, 0.5), kappa, 0.5),
+        "log_sobolev": lambda ch: bounds.log_sobolev_check(
+            ch, g, admissible_lambda(ch, 0.5), kappa, 0.5),
+        "average_l2": lambda ch: bounds.average_l2_bonnet_myers(ch, origin, r, kappa),
+        "expconc": lambda ch: bounds.exponential_concentration(ch, origin, r),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call(get_chain())
+        except CoricciError as exc:
+            out[name] = type(exc)
+    return out
+
+
+@pytest.mark.parametrize("make, origin, r", [
+    (lambda: gallery.discrete_ou(3), 0, 1.0),
+    (lambda: gallery.cube(3), (0, 0, 0), 1.0),
+    (lambda: gallery.geometric_reset(0.5, K=20), 0, 2.0),
+], ids=["ou3", "cube3", "reset20"])
+def test_memoised_bounds_equal_fresh_chain(make, origin, r):
+    chain = make()
+    first = _every_bound(lambda: chain, origin, r)
+    again = _every_bound(lambda: chain, origin, r)  # all read from the memo
+    # A new chain with the same data for every quantity: nothing memoised.
+    fresh = _every_bound(lambda: Chain(chain.space, chain.kernel, chain.dt), origin, r)
+    assert chain._memo
+    for name in first:
+        assert _same(first[name], again[name]), name
+        assert _same(first[name], fresh[name]), name

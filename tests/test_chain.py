@@ -29,6 +29,21 @@ def test_row_not_stochastic():
         build_chain(TWO_POINT, np.array([[0.5, 0.49], [0.0, 1.0]]))
 
 
+def test_non_finite_probability_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RowNotStochastic, match="non-finite"):
+            build_chain(TWO_POINT, np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
+def test_rows_rescaled_only_beyond_mass_tolerance():
+    rows = np.array([[0.5 + 5e-11, 0.5], [0.3 + 4e-13, 0.7]])
+    P = build_chain(TWO_POINT, rows).dense()
+    assert np.array_equal(P[0], rows[0] / rows[0].sum())
+    assert abs(P[0].sum() - 1.0) <= 1e-15
+    assert np.array_equal(P[1], rows[1])  # within 1e-12: kept bit for bit
+    assert rows[0, 0] == 0.5 + 5e-11  # the caller's array is not modified
+
+
 def test_unknown_point():
     with pytest.raises(UnknownPoint):
         build_chain(TWO_POINT, {0: {0: 1.0}, 1: {2: 1.0}})

@@ -1,15 +1,21 @@
 import csv
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import coricci.bounds
+import coricci.chain
+import coricci.cli
 from coricci import chainfile, gallery
 from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
-from coricci.errors import ChainFileError
+from coricci.errors import ChainFileError, InequalityFails
+from coricci.transport import MASS_ATOL
 
 
 @pytest.fixture()
@@ -262,3 +268,72 @@ def test_threads_env_variable(runner, tmp_path, monkeypatch):
     env = runner.invoke(main, ["curvature", path])
     assert base.exit_code == env.exit_code == 0
     assert base.output == env.output
+
+
+def test_row_within_tolerance_is_renormalised(runner, tmp_path):
+    path = tmp_path / "cube4.json"
+    doc = json.loads(Path(_gen(runner, tmp_path, "cube", "--n", "4")).read_text())
+    entries = doc["kernel"]["(0, 0, 0, 0)"]
+    hold = next(e for e in entries if e[0] == "(0, 0, 0, 0)")
+    hold[1] = "0.50000000005"  # the row now sums to 1 + 5e-11
+    path.write_text(json.dumps(doc))
+    row = load_chain(str(path)).row("(0, 0, 0, 0)")
+    assert abs(row.sum() - 1.0) <= MASS_ATOL
+    res = runner.invoke(main, ["curvature", str(path), "--geodesic", "1"])
+    assert res.exit_code == 0, res.output
+
+
+def test_unexpected_error_is_input_error(runner, tmp_path, monkeypatch):
+    path = _gen(runner, tmp_path, "cube", "--n", "2")
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("weights sum to 1.1, not 1")
+
+    monkeypatch.setattr(coricci.cli, "kappa_global", broken)
+    res = runner.invoke(main, ["curvature", path])
+    assert res.exit_code == 2
+    assert res.output == "error: weights sum to 1.1, not 1\n"
+
+
+def test_failed_inequality_is_exit_1(runner, tmp_path, monkeypatch):
+    path = _gen(runner, tmp_path, "cube", "--n", "2")
+
+    def failing(*_args, **_kwargs):
+        raise InequalityFails("Prop. 29: spectral radius exceeds 1 - kappa")
+
+    monkeypatch.setattr(coricci.bounds, "spectral_report", failing)
+    res = runner.invoke(main, ["spectral", path])
+    assert res.exit_code == 1
+    assert "check failed: Prop. 29" in res.output
+
+
+def test_verify_and_report_compute_each_quantity_once(runner, tmp_path, monkeypatch):
+    """One maxVar per distinct (measure, mode) and one invariant
+    distribution per chain, however many checks read them."""
+    path = _gen(runner, tmp_path, "cube", "--n", "4")
+    max_var_calls = Counter()
+    nu_solves = []
+    max_var = coricci.chain.max_var_lipschitz
+    solve_invariant = coricci.chain._solve_invariant
+
+    def counted_max_var(space, measure, mode="exact"):
+        max_var_calls[measure.weights.tobytes(), mode] += 1
+        return max_var(space, measure, mode)
+
+    def counted_solve(chain):
+        nu_solves.append(chain)
+        return solve_invariant(chain)
+
+    for module in (coricci.chain, coricci.bounds):
+        monkeypatch.setattr(module, "max_var_lipschitz", counted_max_var)
+    monkeypatch.setattr(coricci.chain, "_solve_invariant", counted_solve)
+    for argv in (["verify", path, "--all", "--geodesic", "1"],
+                 ["report", path, "--geodesic", "1"]):
+        max_var_calls.clear()
+        nu_solves.clear()
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        # the 16 rows (exact) and nu (heuristic: 16 support points > 12)
+        assert len(max_var_calls) == 17
+        assert set(max_var_calls.values()) == {1}
+        assert len(nu_solves) == 1

@@ -10,7 +10,7 @@ from coricci.curvature import (
     kappa_decomposition,
     kappa_global,
 )
-from coricci.errors import NotGeodesic, SamePoint
+from coricci.errors import NoPairs, NotGeodesic, SamePoint
 from coricci.gallery import cube, geometric_reflect, glauber
 from coricci.metric import space_from_matrix
 from coricci.transport import Distribution
@@ -215,3 +215,9 @@ def test_cor22_mean_estimate(cube4, binom20, kappa_cache):
             f = f / lip
             gap = np.abs(f - nu.mean(f))
             assert np.all(gap <= J / k + 1e-9)
+
+
+def test_one_point_space_has_no_pairs():
+    chain = build_chain(space_from_matrix(["a"], [[0.0]]), np.array([[1.0]]))
+    with pytest.raises(NoPairs):
+        kappa_global(chain)
