@@ -1,16 +1,9 @@
 import numpy as np
 from setuptools import Extension, setup
 
-# The generated C is committed, so the kernel builds with a plain C compiler;
-# Cython, when present, regenerates it from the .pyx.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
 kernel = Extension(
     "coricci.transport._mcf_cy",
-    ["src/coricci/transport/_mcf_cy" + (".pyx" if cythonize else ".c")],
+    ["src/coricci/transport/_mcf_cy.c"],
     include_dirs=[np.get_include()],
     extra_compile_args=["-O3"],
     # Without a compiler the install still succeeds; coricci then selects
@@ -18,9 +11,4 @@ kernel = Extension(
     optional=True,
 )
 
-if cythonize:
-    extensions = cythonize([kernel], compiler_directives={"language_level": "3"})
-else:
-    extensions = [kernel]
-
-setup(ext_modules=extensions)
+setup(ext_modules=[kernel])

@@ -23,6 +23,7 @@ from .chain import (  # noqa: F401
 )
 from .curvature import kappa_global
 from .errors import (
+    DegenerateSupport,
     HypothesisFails,
     InequalityFails,
     LambdaTooLarge,
@@ -173,6 +174,9 @@ def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
     stats = _all_local_stats(chain, n_x_mode)
     sigma2 = float(nu.weights @ np.array([s.sigma2 for s in stats]))
     finite_n = [s.n_x for s in stats if s.n_x is not None]
+    if not finite_n:
+        raise DegenerateSupport(
+            "every kernel row is a Dirac mass, so n = inf n_x is undefined")
     n_inf = min(finite_n)
     bound = sigma2 / (n_inf * kappa * (2.0 - kappa))
     mode = "exact" if len(nu.support()) <= 12 else "heuristic"

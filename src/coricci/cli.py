@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 
 import click
@@ -54,18 +53,10 @@ def _emit(doc, rows, fmt):
         click.echo(out.getvalue().rstrip("\n"))
 
 
-def _threads(threads):
-    if threads is not None:
-        return threads
-    env = os.environ.get("CRC_THREADS")
-    return int(env) if env else 1
-
-
-def _report(chain, geodesic, delta=0.0, threads=1):
+def _report(chain, geodesic, delta=0.0):
     if geodesic is not None:
-        return kappa_global(chain, mode="geodesic", eps=geodesic, delta=delta,
-                            threads=threads)
-    return kappa_global(chain, delta=delta, threads=threads)
+        return kappa_global(chain, mode="geodesic", eps=geodesic, delta=delta)
+    return kappa_global(chain, delta=delta)
 
 
 SCHEMAS = {
@@ -96,8 +87,6 @@ def _schema_option(cmd_name):
 
 fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                           default="json", show_default=True)
-threads_option = click.option("--threads", type=int, default=None,
-                              help="Pair-scan threads (or env CRC_THREADS).")
 geodesic_option = click.option("--geodesic", type=float, default=None,
                                help="Scan only pairs within EPS (geodesic mode).")
 
@@ -165,12 +154,11 @@ def gen(preset, output, big_k, graph, **params):
 @click.option("--delta", type=float, default=0.0, show_default=True,
               help="Curvature up to delta (Def. 48).")
 @fmt_option
-@threads_option
 @_schema_option("curvature")
-def curvature(chain_file, geodesic, delta, fmt, threads):
+def curvature(chain_file, geodesic, delta, fmt):
     """Pointwise and global coarse Ricci curvature."""
     chain = chainfile.load_chain(chain_file)
-    rep = _report(chain, geodesic, delta, _threads(threads))
+    rep = _report(chain, geodesic, delta)
     rows = [
         {"x": str(p.x), "y": str(p.y), "kappa": p.kappa,
          "kappa_plus": p.kappa_plus, "kappa_minus": p.kappa_minus,
@@ -190,12 +178,11 @@ def curvature(chain_file, geodesic, delta, fmt, threads):
 @click.argument("chain_file", type=click.Path())
 @geodesic_option
 @fmt_option
-@threads_option
 @_schema_option("spectral")
-def spectral(chain_file, geodesic, fmt, threads):
+def spectral(chain_file, geodesic, fmt):
     """Spectral radius on mean-zero functions and Poincare inequalities."""
     chain = chainfile.load_chain(chain_file)
-    rep = _report(chain, geodesic, threads=_threads(threads))
+    rep = _report(chain, geodesic)
     sp = bounds_mod.spectral_report(chain, rep.global_kappa)
     rows = [
         {"check": "spectral_radius", "value": sp.spectral_radius},
@@ -227,12 +214,11 @@ def spectral(chain_file, geodesic, fmt, threads):
 @click.argument("chain_file", type=click.Path())
 @geodesic_option
 @fmt_option
-@threads_option
 @_schema_option("bounds")
-def bounds_cmd(chain_file, geodesic, fmt, threads):
+def bounds_cmd(chain_file, geodesic, fmt):
     """Bonnet-Myers diameter bounds and the Prop. 31 variance bound."""
     chain = chainfile.load_chain(chain_file)
-    rep = _report(chain, geodesic, threads=_threads(threads))
+    rep = _report(chain, geodesic)
     diam_bound, diam_actual, per_pair, avg = bounds_mod.bonnet_myers(chain, rep)
     var_bound, extremal, statdim = bounds_mod.variance_bound(
         chain, rep.global_kappa)
@@ -268,12 +254,11 @@ def bounds_cmd(chain_file, geodesic, fmt, threads):
 @click.option("--origin", type=str, default=None,
               help="f = distance to this point (default: first point).")
 @fmt_option
-@threads_option
 @_schema_option("concentration")
-def concentration(chain_file, geodesic, origin, fmt, threads):
+def concentration(chain_file, geodesic, origin, fmt):
     """Thm. 32 Gaussian concentration for f = distance to an origin."""
     chain = chainfile.load_chain(chain_file)
-    rep = _report(chain, geodesic, threads=_threads(threads))
+    rep = _report(chain, geodesic)
     o = origin if origin is not None else chain.space.points[0]
     f = chain.space.dist[:, chain.space.index(o)]
     conc = bounds_mod.gaussian_concentration(chain, f, rep.global_kappa)
@@ -300,12 +285,11 @@ def concentration(chain_file, geodesic, origin, fmt, threads):
               help="Range-gradient lambda (default: the admissible maximum).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @fmt_option
-@threads_option
 @_schema_option("logsobolev")
-def logsobolev(chain_file, geodesic, lam, seed, fmt, threads):
+def logsobolev(chain_file, geodesic, lam, seed, fmt):
     """Thm. 40 log-Sobolev inequalities for a random positive function."""
     chain = chainfile.load_chain(chain_file)
-    rep = _report(chain, geodesic, threads=_threads(threads))
+    rep = _report(chain, geodesic)
     U = max((p.U for p in rep.pairs if p.U is not None), default=0.0)
     if lam is None:
         lam = bounds_mod.admissible_lambda(chain, U)
@@ -352,8 +336,8 @@ def expconc(chain_file, origin, radius, s, fmt):
         sys.exit(EXIT_CHECK_FAILED)
 
 
-def _verify_checks(chain, geodesic, threads):
-    rep = _report(chain, geodesic, threads=threads)
+def _verify_checks(chain, geodesic):
+    rep = _report(chain, geodesic)
     checks = []
     kappa = rep.global_kappa
     checks.append(("global_kappa_positive", kappa > 0))
@@ -389,12 +373,11 @@ def _verify_checks(chain, geodesic, threads):
 @click.option("--all", "run_all", is_flag=True, help="Run every check.")
 @geodesic_option
 @fmt_option
-@threads_option
 @_schema_option("verify")
-def verify(chain_file, run_all, geodesic, fmt, threads):
+def verify(chain_file, run_all, geodesic, fmt):
     """Run the full battery of mathematical checks; exit 1 on any failure."""
     chain = chainfile.load_chain(chain_file)
-    rep, checks = _verify_checks(chain, geodesic, _threads(threads))
+    rep, checks = _verify_checks(chain, geodesic)
     rows = [{"check": name, "holds": holds} for name, holds in checks]
     doc = {"global_kappa": rep.global_kappa, "checks": rows,
            "all_pass": all(h for _n, h in checks)}
@@ -409,12 +392,11 @@ def verify(chain_file, run_all, geodesic, fmt, threads):
 @click.argument("chain_file", type=click.Path())
 @geodesic_option
 @fmt_option
-@threads_option
 @_schema_option("report")
-def report(chain_file, geodesic, fmt, threads):
+def report(chain_file, geodesic, fmt):
     """Everything in a single document: curvature, spectrum, bounds."""
     chain = chainfile.load_chain(chain_file)
-    rep, checks = _verify_checks(chain, geodesic, _threads(threads))
+    rep, checks = _verify_checks(chain, geodesic)
     nu, reversible, unique = invariant_distribution(chain)
     stats = [local_stats(chain, p) for p in chain.space.points]
     doc = {

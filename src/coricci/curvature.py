@@ -83,14 +83,10 @@ def kappa_decomposition(chain: Chain, x, y):
     return _coupling_parts(res.plan, chain.space.dist, i, j)
 
 
-def kappa_global(chain: Chain, mode="all-pairs", eps=None, delta: float = 0.0,
-                 threads: int = 1) -> CurvatureReport:
+def kappa_global(chain: Chain, mode="all-pairs", eps=None,
+                 delta: float = 0.0) -> CurvatureReport:
     """Scan unordered pairs; geodesic mode restricts to d(x,y) <= eps, which
-    lower-bounds kappa over all pairs by the eps-geodesic reduction.
-
-    threads > 1 maps the pair scan over a thread pool; each pair is a pure
-    call and results are collected in pair order, so the report is
-    independent of the thread count."""
+    lower-bounds kappa over all pairs by the eps-geodesic reduction."""
     space = chain.space
     if mode == "geodesic":
         if eps is None or eps <= 0:
@@ -109,26 +105,15 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None, delta: float = 0.0,
     dense = chain.dense()
     d = space.dist
     rows = [Distribution(dense[i]) for i in range(space.n)]
-    todo = [
-        (i, j)
-        for i, j in combinations(range(space.n), 2)
-        if mode != "geodesic" or d[i, j] <= eps * (1 + 1e-12)
-    ]
-
-    def one_pair(ij):
-        i, j = ij
+    pairs = []
+    for i, j in combinations(range(space.n), 2):
+        if mode == "geodesic" and d[i, j] > eps * (1 + 1e-12):
+            continue
         res = w1(rows[i], rows[j], space)
         k = 1.0 - max(res.cost - delta, 0.0) / d[i, j]
         k_plus, k_minus, U = _coupling_parts(res.plan, d, i, j)
-        return PairCurvature(space.points[i], space.points[j], k, k_plus, k_minus, U)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one_pair, todo))
-    else:
-        pairs = [one_pair(ij) for ij in todo]
+        pairs.append(PairCurvature(space.points[i], space.points[j], k,
+                                   k_plus, k_minus, U))
     global_kappa = min(p.kappa for p in pairs)
     return CurvatureReport(tuple(pairs), global_kappa, mode_str, delta)
 

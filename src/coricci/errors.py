@@ -26,7 +26,8 @@ class UnknownPoint(CoricciError):
 
 
 class DegenerateSupport(CoricciError):
-    """The measure is a Dirac mass, so the 1-Lipschitz variance is 0."""
+    """A Dirac mass where spread is needed: the measure's 1-Lipschitz
+    variance is 0, or every kernel row is one and n = inf n_x is undefined."""
 
 
 class SupportTooLarge(CoricciError):
@@ -52,10 +53,6 @@ class NoPairs(CoricciError):
 class InequalityFails(CoricciError):
     """An inequality the theory guarantees failed numerically; the message
     names it."""
-
-
-class NoConvergence(CoricciError):
-    """Power-iteration fallback for the invariant distribution failed."""
 
 
 class NonPositiveCurvature(CoricciError):

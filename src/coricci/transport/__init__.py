@@ -1,8 +1,8 @@
 """Exact L1 optimal transport with primal plans and dual certificates.
 
 The hot kernel (successive shortest paths on the reduced bipartite problem)
-has a compiled Cython implementation with a pure-Python fallback; selection
-happens at import time and can be forced with CORICCI_PURE_PYTHON=1.
+is a C extension with a pure-Python fallback; selection happens at import
+time and can be forced with CORICCI_PURE_PYTHON=1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ else:
     try:
         from . import _mcf_cy as _kernel
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         from . import _mcf_py as _kernel
 
@@ -54,13 +54,6 @@ class Distribution:
     def dirac(cls, space: FiniteMetricSpace, point) -> "Distribution":
         w = np.zeros(space.n)
         w[space.index(point)] = 1.0
-        return cls(w)
-
-    @classmethod
-    def from_dict(cls, space: FiniteMetricSpace, masses: dict) -> "Distribution":
-        w = np.zeros(space.n)
-        for point, mass in masses.items():
-            w[space.index(point)] = mass
         return cls(w)
 
     def support(self) -> np.ndarray:

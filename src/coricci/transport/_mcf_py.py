@@ -1,7 +1,8 @@
 """Pure-Python successive-shortest-paths kernel for dense transportation.
 
-Fallback used when the compiled extension is unavailable (or forced via
-CORICCI_PURE_PYTHON=1).  Same contract as coricci.transport._mcf_cy.
+Fallback used when the C extension coricci.transport._mcf_cy is unavailable
+(or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
+tested against.
 """
 
 from __future__ import annotations
@@ -20,11 +21,17 @@ def solve_transport(cost, supply, demand):
     Returns (src_idx, tgt_idx, mass, u, v): flow triples plus dual
     potentials with u[i] + v[j] <= cost[i, j] and equality on flow edges.
     Deterministic: Dijkstra ties break on lowest node index.
+    Raises ValueError when supply or demand does not fit the cost matrix.
     """
     cost = np.asarray(cost, dtype=np.float64)
     a = np.array(supply, dtype=np.float64)
     b = np.array(demand, dtype=np.float64)
     ns, nt = cost.shape
+    if a.shape != (ns,) or b.shape != (nt,):
+        raise ValueError(
+            f"supply and demand have {a.size} and {b.size} entries for a "
+            f"{ns} x {nt} cost matrix"
+        )
     nv = ns + nt
     pot = np.zeros(nv)
     flow = np.zeros((ns, nt))

@@ -54,7 +54,7 @@ def pytest_report_header(config):
 
 def pytest_terminal_summary(terminalreporter, config):
     # -q hides the header; a run on the slow pure-Python kernel still says so.
-    if c.BACKEND != "cython":
+    if c.BACKEND != "c":
         terminalreporter.write_line(pytest_report_header(config), yellow=True)
 
 

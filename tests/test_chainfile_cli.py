@@ -14,7 +14,7 @@ import coricci.cli
 from coricci import chainfile, gallery
 from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
-from coricci.errors import ChainFileError, InequalityFails
+from coricci.errors import ChainFileError, DegenerateSupport, InequalityFails
 from coricci.transport import MASS_ATOL
 
 
@@ -253,23 +253,6 @@ def test_schema_flag(runner):
         assert "CSV columns" in res.output
 
 
-def test_threads_do_not_change_output(runner, tmp_path):
-    path = _gen(runner, tmp_path, "binomial", "--n", "15", "--p", "0.3")
-    out1 = runner.invoke(main, ["curvature", path, "--threads", "1"])
-    out4 = runner.invoke(main, ["curvature", path, "--threads", "4"])
-    assert out1.exit_code == out4.exit_code == 0
-    assert out1.output == out4.output
-
-
-def test_threads_env_variable(runner, tmp_path, monkeypatch):
-    path = _gen(runner, tmp_path, "cube", "--n", "2")
-    base = runner.invoke(main, ["curvature", path])
-    monkeypatch.setenv("CRC_THREADS", "3")
-    env = runner.invoke(main, ["curvature", path])
-    assert base.exit_code == env.exit_code == 0
-    assert base.output == env.output
-
-
 def test_row_within_tolerance_is_renormalised(runner, tmp_path):
     path = tmp_path / "cube4.json"
     doc = json.loads(Path(_gen(runner, tmp_path, "cube", "--n", "4")).read_text())
@@ -293,6 +276,23 @@ def test_unexpected_error_is_input_error(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["curvature", path])
     assert res.exit_code == 2
     assert res.output == "error: weights sum to 1.1, not 1\n"
+
+
+def test_all_dirac_rows_are_degenerate_support(runner, tmp_path):
+    """Every point jumps to one point: kappa = 1, but n = inf n_x has no
+    finite n_x to take the infimum over."""
+    cube = gallery.cube(3)
+    kernel = np.zeros((cube.n, cube.n))
+    kernel[:, 0] = 1.0
+    path = str(tmp_path / "dirac.json")
+    save_chain(coricci.chain.build_chain(cube.space, kernel), path)
+    with pytest.raises(DegenerateSupport):
+        coricci.bounds.variance_bound(load_chain(path), 1.0)
+    for cmd in ("bounds", "verify"):
+        res = runner.invoke(main, [cmd, path])
+        assert res.exit_code == 2
+        assert res.output.endswith(
+            "error: every kernel row is a Dirac mass, so n = inf n_x is undefined\n")
 
 
 def test_failed_inequality_is_exit_1(runner, tmp_path, monkeypatch):

@@ -155,12 +155,6 @@ def test_not_geodesic_raises():
         kappa_global(chain, mode="geodesic", eps=1.0)
 
 
-def test_threads_do_not_change_report(binom20):
-    seq = kappa_global(binom20, mode="geodesic", eps=1)
-    par = kappa_global(binom20, mode="geodesic", eps=1, threads=4)
-    assert seq == par
-
-
 def test_contraction_trivial(cube4):
     nu = Distribution(np.full(16, 1 / 16))
     lhs, rhs, holds = contraction_check(cube4, nu, nu, 1 / 4)

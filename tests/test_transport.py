@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from coricci import transport
 from coricci.chain import local_stats
 from coricci.metric import space_from_matrix
 from coricci.transport import Distribution, _mcf_py, w1
@@ -120,22 +121,34 @@ def test_w1_dirac_to_row_equals_jump(cube4, binom20, glauber5):
 
 
 def test_backends_agree():
+    """Both kernels do the same arithmetic in the same order, so plans and
+    duals agree bit for bit, also on the tied shortest paths that integer
+    costs (as on the cube and Hamming metrics) produce."""
     _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        ns, nt = rng.integers(2, 7, size=2)
-        cost = rng.random((ns, nt)) + 0.1
+    for k in range(60):
+        ns, nt = rng.integers(1, 9, size=2)
+        if k % 2:
+            cost = rng.integers(1, 5, size=(ns, nt)).astype(float)
+        else:
+            cost = rng.random((ns, nt)) + 0.1
         a = rng.random(ns) + 0.1
         b = rng.random(nt) + 0.1
         b *= a.sum() / b.sum()
         out_py = _mcf_py.solve_transport(cost, a, b)
-        out_cy = _mcf_cy.solve_transport(cost, a, b)
-        cost_py = float((out_py[2] * cost[out_py[0], out_py[1]]).sum())
-        cost_cy = float((out_cy[2] * cost[out_cy[0], out_cy[1]]).sum())
-        assert cost_py == pytest.approx(cost_cy, abs=1e-12)
-        # identical tie-breaking: the plans themselves agree
-        assert np.array_equal(out_py[0], out_cy[0])
-        assert np.array_equal(out_py[1], out_cy[1])
+        out_c = _mcf_cy.solve_transport(cost, a, b)
+        for x_py, x_c in zip(out_py, out_c):
+            assert x_py.dtype == x_c.dtype
+            assert np.array_equal(x_py, x_c)
+
+
+def test_kernels_reject_mismatched_sizes():
+    cost = np.ones((3, 3))
+    for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
+            kernel.solve_transport(cost, np.full(2, 0.5), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
+            kernel.solve_transport(cost, np.full(3, 1 / 3), np.full(4, 0.25))
 
 
 @settings(max_examples=40, deadline=None)
