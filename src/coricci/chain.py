@@ -76,7 +76,7 @@ class LocalStats:
     sigma2: float
     sigma_inf: float
     n_x: float | None  # None when the row is a Dirac mass
-    certificate: str  # "exact" | "lower-bound" | "undefined"
+    certificate: str  # n_x is "exact" | an "upper-bound" (heuristic maxVar) | "undefined"
     D2: float | None = None  # sigma2 / (n_x * kappa), filled by bounds
 
 
@@ -379,7 +379,8 @@ def _local_stats(chain: Chain, i: int, n_x_mode) -> LocalStats:
     max_var, _f, cert = max_var_lipschitz(chain.space, Distribution(row), n_x_mode)
     # In heuristic mode max_var is a lower bound, so n_x is an upper bound.
     n_x = sigma2 / max_var
-    return LocalStats(J, sigma2, sigma_inf, n_x, cert)
+    return LocalStats(J, sigma2, sigma_inf, n_x,
+                      "exact" if cert == "exact" else "upper-bound")
 
 
 def invariant_max_var(chain: Chain, mode="exact") -> float:

@@ -21,6 +21,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _echo(message, err=False):
+    """click.echo to the current sys.stdout (or sys.stderr).  Naming the
+    stream keeps click from caching it: click's cache keeps every default
+    stream it has written to alive, with its contents, for the rest of the
+    process, so each in-process run with redirected output would leak it."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fmt(x):
     if isinstance(x, (float, np.floating)):
         return float(f"{float(x):.17g}")
@@ -40,7 +48,7 @@ def _fmt_str(x):
 def _emit(doc, rows, fmt):
     """Print a report: nested JSON or flat CSV rows with a fixed schema."""
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=1, default=_fmt))
+        _echo(json.dumps(doc, indent=1, default=_fmt))
     else:
         if not rows:
             return
@@ -50,7 +58,7 @@ def _emit(doc, rows, fmt):
         for row in rows:
             writer.writerow({k: _fmt_str(v) if isinstance(v, (float, np.floating)) else v
                              for k, v in row.items()})
-        click.echo(out.getvalue().rstrip("\n"))
+        _echo(out.getvalue().rstrip("\n"))
 
 
 def _report(chain, geodesic, delta=0.0):
@@ -77,7 +85,7 @@ SCHEMAS = {
 def _schema_option(cmd_name):
     def callback(ctx, _param, value):
         if value:
-            click.echo(f"{cmd_name} CSV columns: {SCHEMAS[cmd_name]}")
+            _echo(f"{cmd_name} CSV columns: {SCHEMAS[cmd_name]}")
             ctx.exit(0)
 
     return click.option("--schema", is_flag=True, expose_value=False,
@@ -103,11 +111,11 @@ class _Commands(click.Group):
                 click.exceptions.Abort):
             raise
         except InequalityFails as exc:
-            click.echo(f"check failed: {exc}", err=True)
+            _echo(f"check failed: {exc}", err=True)
             sys.exit(EXIT_CHECK_FAILED)
         except Exception as exc:
-            click.echo(f"error: {' '.join(str(exc).split()) or type(exc).__name__}",
-                       err=True)
+            _echo(f"error: {' '.join(str(exc).split()) or type(exc).__name__}",
+                  err=True)
             sys.exit(EXIT_INPUT_ERROR)
 
 
@@ -145,7 +153,7 @@ def gen(preset, output, big_k, graph, **params):
         kwargs["N"] = kwargs.pop("n")
     chain = gallery.generate(gallery.PresetSpec(preset, kwargs))
     chainfile.save_chain(chain, output)
-    click.echo(f"wrote {preset} chain ({chain.n} states) to {output}")
+    _echo(f"wrote {preset} chain ({chain.n} states) to {output}")
 
 
 @main.command()
@@ -206,7 +214,7 @@ def spectral(chain_file, geodesic, fmt):
     if sp.poincare_applicable:
         ok = ok and max(sp.poincare_local_ratio, sp.poincare_gradient_ratio) <= 1 + 1e-9
     if not ok:
-        click.echo("check failed: spectral radius / Poincare", err=True)
+        _echo("check failed: spectral radius / Poincare", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -244,7 +252,7 @@ def bounds_cmd(chain_file, geodesic, fmt):
     _emit(doc, rows, fmt)
     if not all(r["holds"] for r in rows):
         failing = next(r["check"] for r in rows if not r["holds"])
-        click.echo(f"check failed: {failing}", err=True)
+        _echo(f"check failed: {failing}", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -274,7 +282,7 @@ def concentration(chain_file, geodesic, origin, fmt):
                        "discretized sigma^2_disc/dt convention")
     _emit(doc, rows, fmt)
     if not conc.holds:
-        click.echo("check failed: exact tail exceeds Thm. 32 bound", err=True)
+        _echo("check failed: exact tail exceeds Thm. 32 bound", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -310,7 +318,7 @@ def logsobolev(chain_file, geodesic, lam, seed, fmt):
            "holds": holds and not violations, "checks": rows}
     _emit(doc, rows, fmt)
     if not (holds and not violations):
-        click.echo("check failed: log-Sobolev / commutation", err=True)
+        _echo("check failed: log-Sobolev / commutation", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -332,7 +340,7 @@ def expconc(chain_file, origin, radius, s, fmt):
     rows = [{"field": k, "value": v} for k, v in doc.items()]
     _emit(doc, rows, fmt)
     if not (rep.holds and rep.lemma45_holds):
-        click.echo("check failed: Thm. 44 moment bound / Lemma 45 pull", err=True)
+        _echo("check failed: Thm. 44 moment bound / Lemma 45 pull", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -384,7 +392,7 @@ def verify(chain_file, run_all, geodesic, fmt):
     _emit(doc, rows, fmt)
     if not doc["all_pass"]:
         failing = next(n for n, h in checks if not h)
-        click.echo(f"check failed: {failing}", err=True)
+        _echo(f"check failed: {failing}", err=True)
         sys.exit(EXIT_CHECK_FAILED)
 
 

@@ -5,14 +5,13 @@ and direct contraction checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .chain import Chain, push_forward
 from .errors import NoPairs, NotGeodesic, SamePoint
-from .metric import is_epsilon_geodesic
-from .transport import Distribution, w1
+from .metric import is_epsilon_geodesic, is_hop
+from .transport import Distribution, plan_parts, w1, w1_pairs
 
 KAPPA_ATOL = 1e-9
 
@@ -45,21 +44,19 @@ def _pair_w1(chain: Chain, x, y):
     return i, j, w1(Distribution(dense[i]), Distribution(dense[j]), space)
 
 
-def _coupling_parts(plan, dist, i, j):
-    """(kappa+, kappa-, U) at the pair (i, j): the positive and negative parts
-    of d(x,y) - d(x',y') integrated over the plan, divided by d(x,y), and
+def _curvature_parts(plus, minus, dxy):
+    """(kappa+, kappa-, U) from the plan integrals of the positive and
+    negative parts of d(x,y) - d(x',y'): each divided by d(x,y), and
     U = kappa-/kappa (None when kappa <= 0)."""
-    dxy = dist[i, j]
-    plus = minus = 0.0
-    for a, b, m in plan.entries:
-        change = dxy - dist[a, b]
-        if change > 0:
-            plus += m * change
-        else:
-            minus -= m * change
     k_plus, k_minus = plus / dxy, minus / dxy
     k = k_plus - k_minus
     return k_plus, k_minus, (k_minus / k if k > 0 else None)
+
+
+def _coupling_parts(plan, dist, i, j):
+    """(kappa+, kappa-, U) at the pair (i, j) over a CouplingPlan."""
+    dxy = dist[i, j]
+    return _curvature_parts(*plan_parts(plan.entries, dist, dxy), dxy)
 
 
 def kappa(chain: Chain, x, y, delta: float = 0.0) -> float:
@@ -85,8 +82,10 @@ def kappa_decomposition(chain: Chain, x, y):
 
 def kappa_global(chain: Chain, mode="all-pairs", eps=None,
                  delta: float = 0.0) -> CurvatureReport:
-    """Scan unordered pairs; geodesic mode restricts to d(x,y) <= eps, which
-    lower-bounds kappa over all pairs by the eps-geodesic reduction."""
+    """Scan unordered pairs; geodesic mode restricts to the hops d(x,y) <= eps
+    (the predicate is_epsilon_geodesic uses), which lower-bounds kappa over
+    all pairs by the eps-geodesic reduction.  Every pair is solved and
+    certified in one kernel call, with the plan w1 returns for it."""
     space = chain.space
     if mode == "geodesic":
         if eps is None or eps <= 0:
@@ -103,19 +102,21 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
         raise NoPairs("the space has one point, so no pair to scan")
 
     dense = chain.dense()
+    for row in dense:
+        Distribution(row)  # raises unless the row is a probability vector
     d = space.dist
-    rows = [Distribution(dense[i]) for i in range(space.n)]
-    pairs = []
-    for i, j in combinations(range(space.n), 2):
-        if mode == "geodesic" and d[i, j] > eps * (1 + 1e-12):
-            continue
-        res = w1(rows[i], rows[j], space)
-        k = 1.0 - max(res.cost - delta, 0.0) / d[i, j]
-        k_plus, k_minus, U = _coupling_parts(res.plan, d, i, j)
-        pairs.append(PairCurvature(space.points[i], space.points[j], k,
-                                   k_plus, k_minus, U))
-    global_kappa = min(p.kappa for p in pairs)
-    return CurvatureReport(tuple(pairs), global_kappa, mode_str, delta)
+    scanned = is_hop(d, eps) if mode == "geodesic" else np.ones(d.shape, dtype=bool)
+    I, J = np.nonzero(np.triu(scanned, 1))  # row-major: (0, 1), (0, 2), ...
+    cost, plus, minus = w1_pairs(dense, space, I, J)
+    dxy = d[I, J]
+    kappas = 1.0 - np.maximum(cost - delta, 0.0) / dxy
+    points = space.points
+    pairs = tuple(
+        PairCurvature(points[i], points[j], k, *_curvature_parts(p, m, dij))
+        for i, j, k, p, m, dij in zip(I.tolist(), J.tolist(), kappas.tolist(),
+                                      plus.tolist(), minus.tolist(), dxy.tolist())
+    )
+    return CurvatureReport(pairs, float(kappas.min()), mode_str, delta)
 
 
 def contraction_check(chain: Chain, mu: Distribution, nu: Distribution, kappa_bound: float):

@@ -66,10 +66,13 @@ def _validate_metric(dist: np.ndarray, atol: float = METRIC_ATOL) -> None:
         if np.any(off <= 0):
             i, j = np.unravel_index(np.argmin(off), dist.shape)
             raise MetricViolation(f"zero distance between distinct points ({i}, {j})")
-    # Triangle inequality, one intermediate point at a time to bound memory.
+    # Triangle inequality, one intermediate point at a time to bound memory,
+    # in one buffer: slack = d(i, j) - (d(i, k) + d(k, j)).
+    slack = np.empty_like(dist)
     for k in range(n):
-        slack = dist - (dist[:, k][:, None] + dist[k, :][None, :])
-        if np.any(slack > atol):
+        np.add.outer(dist[:, k], dist[k, :], out=slack)
+        np.subtract(dist, slack, out=slack)
+        if slack.max() > atol:
             i, j = np.unravel_index(np.argmax(slack), slack.shape)
             raise MetricViolation(
                 f"triangle inequality fails for ({i}, {j}) via {k}: "
@@ -135,6 +138,12 @@ def build_space(source, points=None) -> FiniteMetricSpace:
     return space_from_matrix(list(points), source)
 
 
+def is_hop(dist, eps: float):
+    """Which distances count as one hop at scale eps: d <= eps + METRIC_ATOL.
+    The geodesic test and the geodesic pair scan both use this predicate."""
+    return dist <= eps + METRIC_ATOL
+
+
 def is_epsilon_geodesic(space: FiniteMetricSpace, eps: float):
     """Test whether every pair admits a chain of <= eps hops summing to d(x,y).
 
@@ -145,7 +154,7 @@ def is_epsilon_geodesic(space: FiniteMetricSpace, eps: float):
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = space.dist
-    hop = np.where(d <= eps + METRIC_ATOL, d, np.inf)
+    hop = np.where(is_hop(d, eps), d, np.inf)
     np.fill_diagonal(hop, 0.0)
     restricted = shortest_path(np.where(np.isinf(hop), 0, hop), method="D", directed=False)
     # shortest_path on a dense matrix treats 0 as "no edge"; re-add diag.

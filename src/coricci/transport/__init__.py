@@ -1,8 +1,13 @@
 """Exact L1 optimal transport with primal plans and dual certificates.
 
-The hot kernel (successive shortest paths on the reduced bipartite problem)
-is a C extension with a pure-Python fallback; selection happens at import
-time and can be forced with CORICCI_PURE_PYTHON=1.
+w1 solves one pair and returns its plan and dual.  w1_pairs solves every
+pair of a curvature scan in one kernel call, with the plans w1 would
+return, and returns per-pair costs and plan integrals after checking each
+pair's certificate.  The kernel (successive shortest paths on the reduced
+bipartite problem, and the batched scan, which also reduces each plan to a
+forest and integrates over it) is a C extension with a pure-Python fallback
+of identical arithmetic; selection happens at import time and can be forced
+with CORICCI_PURE_PYTHON=1.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 from ..errors import Infeasible
 from ..metric import FiniteMetricSpace
+from ._mcf_py import MASS_ATOL, pair_plan, plan_parts
 
 if os.environ.get("CORICCI_PURE_PYTHON"):
     from . import _mcf_py as _kernel
@@ -29,7 +35,6 @@ else:
 
         BACKEND = "python"
 
-MASS_ATOL = 1e-12
 MARGINAL_ATOL = 1e-10
 LIPSCHITZ_ATOL = 1e-10
 GAP_RTOL = 1e-9
@@ -124,74 +129,6 @@ class W1Result:
     dual: DualPotential
 
 
-def _cancel_cycles(entries):
-    """Reduce a bipartite flow to a forest (tree solution) at equal cost.
-
-    Every support edge of an optimal flow is complementary-slackness tight
-    (c_ij = pi_j - pi_i), so the alternating cost around any support cycle
-    telescopes to zero: shifting mass around a cycle keeps the cost and the
-    marginals, and pushing until some edge empties removes it.  Inserting
-    edges one at a time into a forest, each insertion closes at most one
-    cycle, which is cancelled immediately.
-    """
-    flows = {}
-    for i, j, m in entries:
-        flows[(i, j)] = flows.get((i, j), 0.0) + m
-    adj = {}  # forest adjacency: node -> list of (neighbor, edge)
-
-    def drop(e):
-        del flows[e]
-        for node in (("s", e[0]), ("t", e[1])):
-            adj[node] = [(n, ed) for n, ed in adj[node] if ed != e]
-
-    def find_path(start, goal):
-        # Forest path from start to goal as an ordered edge list, or None.
-        prev = {start: None}
-        queue = [start]
-        while queue:
-            node = queue.pop(0)
-            if node == goal:
-                break
-            for nxt, edge in adj.get(node, []):
-                if nxt not in prev:
-                    prev[nxt] = (node, edge)
-                    queue.append(nxt)
-        if goal not in prev:
-            return None
-        path = []
-        node = goal
-        while prev[node] is not None:
-            node, edge = prev[node]
-            path.append(edge)
-        path.reverse()
-        return path
-
-    for (i, j), m in sorted(flows.items()):
-        del flows[(i, j)]
-        src, tgt = ("s", i), ("t", j)
-        while m > MASS_ATOL:
-            path = find_path(src, tgt)
-            if path is None:
-                break
-            # Decrease (i, j) by eps; the path edges alternate +eps, -eps
-            # starting (and ending) with + to keep every marginal fixed.
-            minus = path[1::2]
-            eps = min([m] + [flows[e] for e in minus])
-            dead = []
-            for k, e in enumerate(path):
-                flows[e] += eps if k % 2 == 0 else -eps
-                if flows[e] <= MASS_ATOL:
-                    dead.append(e)
-            m -= eps
-            for e in dead:
-                drop(e)
-        if m > MASS_ATOL:
-            flows[(i, j)] = m
-            adj.setdefault(src, []).append((tgt, (i, j)))
-            adj.setdefault(tgt, []).append((src, (i, j)))
-    return sorted(flows.items())
-
-
 def w1(mu: Distribution, nu: Distribution, space: FiniteMetricSpace) -> W1Result:
     """Exact W1 distance with an optimal plan and a 1-Lipschitz dual.
 
@@ -201,42 +138,38 @@ def w1(mu: Distribution, nu: Distribution, space: FiniteMetricSpace) -> W1Result
     """
     if len(mu.weights) != space.n or len(nu.weights) != space.n:
         raise Infeasible("distribution size does not match space")
-    diff = mu.weights - nu.weights
-    common = np.minimum(mu.weights, nu.weights)
-    pos = np.nonzero(diff > MASS_ATOL)[0]
-    neg = np.nonzero(diff < -MASS_ATOL)[0]
-    union = np.nonzero((mu.weights > 0) | (nu.weights > 0))[0]
-
-    diag = [(int(i), int(i), float(common[i])) for i in np.nonzero(common > 0)[0]]
-
-    if len(pos) == 0 or len(neg) == 0:
-        plan = CouplingPlan(tuple(diag))
-        dual = DualPotential(tuple(int(i) for i in union), np.zeros(len(union)))
-        return W1Result(0.0, plan, dual)
-
-    supply = diff[pos]
-    demand = -diff[neg]
-    # Marginal totals can differ at rounding level; rescale the smaller side.
-    scale = supply.sum() / demand.sum()
-    demand = demand * scale
-    cost_matrix = space.dist[np.ix_(pos, neg)]
-    src, tgt, mass, _u, v = _kernel.solve_transport(cost_matrix, supply, demand)
-
-    moved = [(int(pos[i]), int(neg[j]), float(m)) for i, j, m in zip(src, tgt, mass)]
-    moved = [(i, j, m) for (i, j), m in _cancel_cycles(moved)]
-    cost = float(sum(m * space.dist[i, j] for i, j, m in moved))
-
-    # Kantorovich potential: c-transform of the sink duals, 1-Lipschitz on
-    # all of X as a minimum of 1-Lipschitz functions.
-    f_all = np.min(space.dist[:, neg] - v[None, :], axis=1)
-    dual = DualPotential(tuple(int(i) for i in union), f_all[union])
+    entries, cost, union, f, dual_obj = pair_plan(
+        mu.weights, nu.weights, space.dist, _kernel.solve_transport)
+    dual = DualPotential(tuple(union.tolist()), f)
     dual.validate(space)
-    dual_obj = float(f_all @ diff)
     if abs(dual_obj - cost) > GAP_RTOL * max(1.0, abs(cost)):
         raise Infeasible(
             f"primal-dual gap {abs(dual_obj - cost)!r} exceeds tolerance "
             f"(primal {cost!r}, dual {dual_obj!r})"
         )
+    return W1Result(cost, CouplingPlan(tuple(entries)), dual)
 
-    plan = CouplingPlan(tuple(diag + moved))
-    return W1Result(cost, plan, dual)
+
+def w1_pairs(P: np.ndarray, space: FiniteMetricSpace, I, J):
+    """W1 between the rows P[I[k]] and P[J[k]] of a kernel matrix, for every k,
+    in one kernel call.
+
+    Each pair gets the plan w1 would return.  Returns (cost, plus, minus),
+    float arrays over the pairs, where plus and minus integrate the positive
+    and negative parts of d(x,y) - d(x',y') over the plan.  Raises Infeasible
+    naming the first pair whose dual potential is not 1-Lipschitz on the
+    union of supports within LIPSCHITZ_ATOL, or whose primal-dual gap exceeds
+    GAP_RTOL relative.
+    """
+    cost, plus, minus, slack, gap = _kernel.solve_pairs(P, space.dist, I, J)
+    bad = np.flatnonzero((slack > LIPSCHITZ_ATOL)
+                         | (gap > GAP_RTOL * np.maximum(1.0, np.abs(cost))))
+    if bad.size:
+        k = bad[0]
+        pair = f"({space.points[I[k]]!r}, {space.points[J[k]]!r})"
+        if slack[k] > LIPSCHITZ_ATOL:
+            raise Infeasible(f"dual potential of pair {pair} not 1-Lipschitz: "
+                             f"slack {slack[k]!r}")
+        raise Infeasible(f"primal-dual gap {gap[k]!r} of pair {pair} exceeds "
+                         f"tolerance (primal {cost[k]!r})")
+    return cost, plus, minus

@@ -1,10 +1,20 @@
-/* Compiled successive-shortest-paths kernel for dense transportation.
+/* Compiled transport kernel: successive shortest paths for dense
+ * transportation, and the batched pair scan built on it.
  *
- * Same contract as coricci.transport._mcf_py.solve_transport and the same
- * arithmetic in the same order: Dijkstra ties break on the lowest node
- * index, every reduced cost and distance is summed as there, and the plan is
- * listed in row-major order, as np.nonzero lists it.  The supply total is a
+ * solve_transport has the contract of coricci.transport._mcf_py and the same
+ * arithmetic in the same order: Dijkstra ties break on the lowest node index,
+ * every reduced cost and distance is summed as there, and the plan is listed
+ * in row-major order, as np.nonzero lists it.  The supply total is a
  * sequential sum.
+ *
+ * solve_pairs(P, dist, I, J) certifies W1 between the rows P[I[k]] and
+ * P[J[k]] for every k in one call, as transport.w1 does for one pair: common
+ * mass stays in place, the rest is shipped by solve(), the plan is reduced to
+ * a forest by a port of _mcf_py._cancel_cycles, and the cost, the integrals
+ * of (d(x,y) - d(x',y'))_+ and _- over the plan, the Lipschitz slack of the
+ * c-transform dual and the primal-dual gap are returned per pair.  The
+ * arithmetic, including numpy's pairwise summation order for the demand
+ * rescaling, is that of _mcf_py.solve_pairs, so both give the same bits.
  *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
@@ -20,6 +30,7 @@
 #include <numpy/arrayobject.h>
 
 #define MASS_EPS 1e-15
+#define MASS_ATOL 1e-12 /* coricci.transport.MASS_ATOL */
 
 /* Returns 0 on success, -1 when no sink is reachable (infeasible). */
 static int solve(const double *C, double *a, double *b, npy_intp ns,
@@ -214,15 +225,357 @@ finish:
     return out;
 }
 
+/* numpy's summation order for a contiguous float64 array (pairwise, eight
+ * accumulators per block of at most 128), so that the demand rescaling
+ * matches transport.w1, which sums with np.sum. */
+static double pairwise_sum(const double *a, npy_intp n)
+{
+    npy_intp i, k, n2;
+    double r[8], res;
+
+    if (n < 8) {
+        res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Work arrays for one pair, sized for rows of n points. */
+typedef struct {
+    double *diff, *a, *b, *f, *C, *flow, *tree, *pot, *dist;
+    npy_intp *pos, *neg, *uni, *parent, *prev, *queue, *path;
+    char *done, *in_tree;
+} Work;
+
+static void *work_alloc(Work *w, npy_intp n)
+{
+    npy_intp nn = n * n;
+    /* Doubles, then indices, then flags, so that every part is aligned;
+     * one more byte so the size is never 0. */
+    char *block = malloc((8 * n + 3 * nn) * sizeof(double) +
+                         11 * n * sizeof(npy_intp) + 2 * n + nn + 1);
+    double *d = (double *)block;
+    npy_intp *p;
+
+    if (!block)
+        return NULL;
+    p = (npy_intp *)(d + 8 * n + 3 * nn);
+    w->diff = d;
+    w->a = d + n;
+    w->b = d + 2 * n;
+    w->f = d + 3 * n;
+    w->pot = d + 4 * n;  /* ns + nt <= 2 n */
+    w->dist = d + 6 * n; /* 2 n */
+    w->C = d + 8 * n;
+    w->flow = w->C + nn;
+    w->tree = w->flow + nn;
+    w->pos = p;
+    w->neg = p + n;
+    w->uni = p + 2 * n;
+    w->parent = p + 3 * n; /* 2 n each from here */
+    w->prev = p + 5 * n;
+    w->queue = p + 7 * n;
+    w->path = p + 9 * n;
+    w->done = (char *)(p + 11 * n); /* 2 n */
+    w->in_tree = w->done + 2 * n;
+    return block;
+}
+
+/* The forest path from source s to sink t (node ns + t) over the cells in
+ * in_tree, as cell indices from s to t; returns its length, or -1 when s and
+ * t are not connected.  A forest has one path between two nodes, so the
+ * order in which the breadth-first search visits neighbours cannot change
+ * it. */
+static npy_intp tree_path(const char *in_tree, npy_intp ns, npy_intp nt,
+                          npy_intp s, npy_intp t, npy_intp *prev,
+                          npy_intp *queue, npy_intp *path)
+{
+    npy_intp v, u, i, j, head = 0, tail = 0, len = 0, goal = ns + t;
+
+    for (v = 0; v < ns + nt; v++)
+        prev[v] = -1;
+    prev[s] = s;
+    queue[tail++] = s;
+    while (head < tail) {
+        u = queue[head++];
+        if (u == goal)
+            break;
+        if (u < ns) {
+            for (j = 0; j < nt; j++)
+                if (in_tree[u * nt + j] && prev[ns + j] < 0) {
+                    prev[ns + j] = u;
+                    queue[tail++] = ns + j;
+                }
+        } else {
+            for (i = 0; i < ns; i++)
+                if (in_tree[i * nt + u - ns] && prev[i] < 0) {
+                    prev[i] = u;
+                    queue[tail++] = i;
+                }
+        }
+    }
+    if (prev[goal] < 0)
+        return -1;
+    for (v = goal; v != s; v = prev[v])
+        path[len++] = v >= ns ? prev[v] * nt + v - ns : v * nt + prev[v] - ns;
+    for (i = 0; i < len / 2; i++) {
+        u = path[i];
+        path[i] = path[len - 1 - i];
+        path[len - 1 - i] = u;
+    }
+    return len;
+}
+
+/* _mcf_py._cancel_cycles on the (ns x nt) flow: cells are inserted in
+ * row-major (sorted) order, each cycle an insertion closes is cancelled at
+ * once, and flows at or below MASS_ATOL are dropped.  tree receives the
+ * forest's flows and in_tree its support. */
+static void cancel_cycles(const double *flow, npy_intp ns, npy_intp nt,
+                          Work *w)
+{
+    npy_intp k, q, len, n = ns * nt;
+    double m, eps, *tree = w->tree;
+    char *in_tree = w->in_tree;
+
+    for (k = 0; k < n; k++) {
+        tree[k] = 0.0;
+        in_tree[k] = 0;
+    }
+    for (k = 0; k < n; k++) {
+        m = flow[k];
+        if (m <= MASS_EPS)
+            continue;
+        while (m > MASS_ATOL) {
+            len = tree_path(in_tree, ns, nt, k / nt, k % nt, w->prev,
+                            w->queue, w->path);
+            if (len < 0)
+                break;
+            /* Decrease cell k by eps; the path alternates +eps, -eps. */
+            eps = m;
+            for (q = 1; q < len; q += 2)
+                if (tree[w->path[q]] < eps)
+                    eps = tree[w->path[q]];
+            for (q = 0; q < len; q++)
+                tree[w->path[q]] += q % 2 == 0 ? eps : -eps;
+            m -= eps;
+            for (q = 0; q < len; q++)
+                if (tree[w->path[q]] <= MASS_ATOL) {
+                    tree[w->path[q]] = 0.0;
+                    in_tree[w->path[q]] = 0;
+                }
+        }
+        if (m > MASS_ATOL) {
+            tree[k] = m;
+            in_tree[k] = 1;
+        }
+    }
+}
+
+/* Adds m * (d(x,y) - d(x',y')) to *plus or subtracts it from *minus, as
+ * curvature._coupling_parts does for one plan entry. */
+static void add_part(double m, double change, double *plus, double *minus)
+{
+    if (change > 0)
+        *plus += m * change;
+    else
+        *minus -= m * change;
+}
+
+/* W1 between the rows mu and nu (n points, distances D) with the pair's
+ * distance dxy: out = (cost, plus, minus, slack, gap).  Returns -1 when the
+ * transportation problem is infeasible. */
+static int solve_pair(const double *mu, const double *nu, const double *D,
+                      npy_intp n, double dxy, Work *w, double *out)
+{
+    npy_intp u, i, j, k, q, r, ns = 0, nt = 0, nu_ = 0;
+    double c, scale, cost = 0.0, plus = 0.0, minus = 0.0, slack, obj, s;
+
+    for (u = 0; u < n; u++) {
+        w->diff[u] = mu[u] - nu[u];
+        if (w->diff[u] > MASS_ATOL)
+            w->pos[ns++] = u;
+        else if (w->diff[u] < -MASS_ATOL)
+            w->neg[nt++] = u;
+        if (mu[u] > 0 || nu[u] > 0)
+            w->uni[nu_++] = u;
+    }
+    /* Common mass stays in place: the diagonal plan entries come first. */
+    for (u = 0; u < n; u++) {
+        c = mu[u] < nu[u] ? mu[u] : nu[u];
+        if (c > 0)
+            add_part(c, dxy - D[u * n + u], &plus, &minus);
+    }
+    if (ns == 0 || nt == 0) {
+        /* Nothing moves: the dual is zero on the union of supports. */
+        for (q = 0; q < nu_; q++)
+            w->f[q] = 0.0;
+        goto certify;
+    }
+
+    for (i = 0; i < ns; i++)
+        w->a[i] = w->diff[w->pos[i]];
+    for (j = 0; j < nt; j++)
+        w->b[j] = -w->diff[w->neg[j]];
+    /* Marginal totals can differ at rounding level; rescale the demand. */
+    scale = (0.0 + pairwise_sum(w->a, ns)) / (0.0 + pairwise_sum(w->b, nt));
+    for (j = 0; j < nt; j++)
+        w->b[j] = w->b[j] * scale;
+    for (i = 0; i < ns; i++)
+        for (j = 0; j < nt; j++)
+            w->C[i * nt + j] = D[w->pos[i] * n + w->neg[j]];
+    memset(w->flow, 0, ns * nt * sizeof(double));
+    memset(w->pot, 0, (ns + nt) * sizeof(double));
+    if (solve(w->C, w->a, w->b, ns, nt, w->flow, w->pot, w->dist, w->parent,
+              w->done) < 0)
+        return -1;
+
+    cancel_cycles(w->flow, ns, nt, w);
+    for (k = 0; k < ns * nt; k++) {
+        if (!w->in_tree[k])
+            continue;
+        cost += w->tree[k] * w->C[k];
+        add_part(w->tree[k], dxy - w->C[k], &plus, &minus);
+    }
+
+    /* Kantorovich potential on the union of supports: the c-transform of
+     * the sink duals, f(x) = min_j d(x, neg[j]) - v[j]. */
+    for (q = 0; q < nu_; q++) {
+        const double *row = D + w->uni[q] * n;
+        w->f[q] = row[w->neg[0]] - w->pot[ns];
+        for (j = 1; j < nt; j++)
+            if (row[w->neg[j]] - w->pot[ns + j] < w->f[q])
+                w->f[q] = row[w->neg[j]] - w->pot[ns + j];
+    }
+certify:
+    slack = -INFINITY;
+    for (q = 0; q < nu_; q++)
+        for (r = 0; r < nu_; r++) {
+            s = fabs(w->f[q] - w->f[r]) - D[w->uni[q] * n + w->uni[r]];
+            if (s > slack)
+                slack = s;
+        }
+    obj = 0.0;
+    for (q = 0; q < nu_; q++)
+        obj += w->f[q] * w->diff[w->uni[q]];
+    out[0] = cost;
+    out[1] = plus;
+    out[2] = minus;
+    out[3] = slack;
+    out[4] = fabs(obj - cost);
+    return 0;
+}
+
+static PyObject *solve_pairs(PyObject *self, PyObject *args)
+{
+    PyObject *P_in, *dist_in, *xs_in, *ys_in, *out = NULL;
+    PyArrayObject *P = NULL, *dist = NULL, *xs = NULL, *ys = NULL;
+    PyArrayObject *res[5] = {NULL, NULL, NULL, NULL, NULL};
+    void *block = NULL;
+    Work w;
+    npy_intp n, rows, npairs, k, x, y;
+    int flags = NPY_ARRAY_IN_ARRAY, f;
+
+    if (!PyArg_ParseTuple(args, "OOOO:solve_pairs", &P_in, &dist_in, &xs_in,
+                          &ys_in))
+        return NULL;
+    P = (PyArrayObject *)PyArray_FROMANY(P_in, NPY_DOUBLE, 2, 2, flags);
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2, flags);
+    xs = (PyArrayObject *)PyArray_FROMANY(xs_in, NPY_INTP, 1, 1, flags);
+    ys = (PyArrayObject *)PyArray_FROMANY(ys_in, NPY_INTP, 1, 1, flags);
+    if (!P || !dist || !xs || !ys)
+        goto finish;
+    n = PyArray_DIM(dist, 0);
+    rows = PyArray_DIM(P, 0);
+    npairs = PyArray_DIM(xs, 0);
+    if (PyArray_DIM(dist, 1) != n || PyArray_DIM(P, 1) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "rows of %zd points for a %zd x %zd distance matrix",
+                     (Py_ssize_t)PyArray_DIM(P, 1), (Py_ssize_t)n,
+                     (Py_ssize_t)PyArray_DIM(dist, 1));
+        goto finish;
+    }
+    if (PyArray_DIM(ys, 0) != npairs) {
+        PyErr_Format(PyExc_ValueError, "I and J have %zd and %zd entries",
+                     (Py_ssize_t)npairs, (Py_ssize_t)PyArray_DIM(ys, 0));
+        goto finish;
+    }
+    for (k = 0; k < npairs; k++) {
+        x = ((npy_intp *)PyArray_DATA(xs))[k];
+        y = ((npy_intp *)PyArray_DATA(ys))[k];
+        if (x < 0 || x >= rows || y < 0 || y >= rows) {
+            PyErr_Format(PyExc_ValueError,
+                         "pair %zd: row index (%zd, %zd) out of range for "
+                         "%zd rows",
+                         (Py_ssize_t)k, (Py_ssize_t)x, (Py_ssize_t)y,
+                         (Py_ssize_t)rows);
+            goto finish;
+        }
+    }
+    for (f = 0; f < 5; f++)
+        if (!(res[f] = (PyArrayObject *)PyArray_SimpleNew(1, &npairs,
+                                                          NPY_DOUBLE)))
+            goto finish;
+    if (!(block = work_alloc(&w, n))) {
+        PyErr_NoMemory();
+        goto finish;
+    }
+    {
+        const double *Pd = PyArray_DATA(P), *D = PyArray_DATA(dist);
+        double one[5];
+
+        for (k = 0; k < npairs; k++) {
+            x = ((npy_intp *)PyArray_DATA(xs))[k];
+            y = ((npy_intp *)PyArray_DATA(ys))[k];
+            if (solve_pair(Pd + x * n, Pd + y * n, D, n, D[x * n + y], &w,
+                           one) < 0) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "transportation problem infeasible");
+                goto finish;
+            }
+            for (f = 0; f < 5; f++)
+                ((double *)PyArray_DATA(res[f]))[k] = one[f];
+        }
+    }
+    out = Py_BuildValue("(NNNNN)", res[0], res[1], res[2], res[3], res[4]);
+    for (f = 0; f < 5; f++)
+        res[f] = NULL; /* owned by out (or released by Py_BuildValue) */
+finish:
+    free(block);
+    for (f = 0; f < 5; f++)
+        Py_XDECREF(res[f]);
+    Py_XDECREF(P);
+    Py_XDECREF(dist);
+    Py_XDECREF(xs);
+    Py_XDECREF(ys);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"solve_transport", solve_transport, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_transport."},
+    {"solve_pairs", solve_pairs, METH_VARARGS,
+     "See coricci.transport._mcf_py.solve_pairs."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
-    "Compiled successive-shortest-paths kernel for dense transportation.",
+    "Compiled transport kernel: dense transportation and batched pair scans.",
     -1, methods,
 };
 

@@ -1,8 +1,10 @@
-"""Pure-Python successive-shortest-paths kernel for dense transportation.
+"""Pure-Python transport kernel: successive shortest paths for dense
+transportation, the reduction of a plan to a forest, and the batched pair
+scan built on both.
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
-tested against.
+tested against: both do the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASS_EPS = 1e-15
+MASS_ATOL = 1e-12  # mass at or below this is dropped from plans and marginals
 
 
 def solve_transport(cost, supply, demand):
@@ -104,3 +107,162 @@ def solve_transport(cost, supply, demand):
     # equality on flow edges, so (u, v) = (-pot_src, pot_snk) is dual feasible.
     src, tgt = np.nonzero(flow > _MASS_EPS)
     return src, tgt, flow[src, tgt], -pot[:ns].copy(), pot[ns:].copy()
+
+
+def _cancel_cycles(entries):
+    """Reduce a bipartite flow to a forest (tree solution) at equal cost.
+
+    Every support edge of an optimal flow is complementary-slackness tight
+    (c_ij = pi_j - pi_i), so the alternating cost around any support cycle
+    telescopes to zero: shifting mass around a cycle keeps the cost and the
+    marginals, and pushing until some edge empties removes it.  Inserting
+    edges one at a time into a forest, each insertion closes at most one
+    cycle, which is cancelled immediately.
+    """
+    flows = {}
+    for i, j, m in entries:
+        flows[(i, j)] = flows.get((i, j), 0.0) + m
+    adj = {}  # forest adjacency: node -> list of (neighbor, edge)
+
+    def drop(e):
+        del flows[e]
+        for node in (("s", e[0]), ("t", e[1])):
+            adj[node] = [(n, ed) for n, ed in adj[node] if ed != e]
+
+    def find_path(start, goal):
+        # Forest path from start to goal as an ordered edge list, or None.
+        prev = {start: None}
+        queue = [start]
+        while queue:
+            node = queue.pop(0)
+            if node == goal:
+                break
+            for nxt, edge in adj.get(node, []):
+                if nxt not in prev:
+                    prev[nxt] = (node, edge)
+                    queue.append(nxt)
+        if goal not in prev:
+            return None
+        path = []
+        node = goal
+        while prev[node] is not None:
+            node, edge = prev[node]
+            path.append(edge)
+        path.reverse()
+        return path
+
+    for (i, j), m in sorted(flows.items()):
+        del flows[(i, j)]
+        src, tgt = ("s", i), ("t", j)
+        while m > MASS_ATOL:
+            path = find_path(src, tgt)
+            if path is None:
+                break
+            # Decrease (i, j) by eps; the path edges alternate +eps, -eps
+            # starting (and ending) with + to keep every marginal fixed.
+            minus = path[1::2]
+            eps = min([m] + [flows[e] for e in minus])
+            dead = []
+            for k, e in enumerate(path):
+                flows[e] += eps if k % 2 == 0 else -eps
+                if flows[e] <= MASS_ATOL:
+                    dead.append(e)
+            m -= eps
+            for e in dead:
+                drop(e)
+        if m > MASS_ATOL:
+            flows[(i, j)] = m
+            adj.setdefault(src, []).append((tgt, (i, j)))
+            adj.setdefault(tgt, []).append((src, (i, j)))
+    return sorted(flows.items())
+
+
+def pair_plan(mu, nu, dist, solve=solve_transport):
+    """The plan and dual transport.w1 returns between the probability
+    vectors mu and nu, computed with the transportation kernel solve.
+
+    The common mass stays in place; the difference is shipped by solve and
+    the plan is reduced to a forest by _cancel_cycles.  Returns (entries,
+    cost, union, f, obj): the plan as (i, j, mass) with the diagonal entries
+    first and the forest after, in sorted order; its cost; the union of the
+    two supports; the dual potential f on it, the c-transform of the sink
+    duals (zero when no mass moves); and the dual objective <f, mu - nu>.
+    Every sum runs in the order the C kernel's solve_pair uses.
+    """
+    diff = mu - nu
+    common = np.minimum(mu, nu)
+    pos = np.nonzero(diff > MASS_ATOL)[0]
+    neg = np.nonzero(diff < -MASS_ATOL)[0]
+    union = np.nonzero((mu > 0) | (nu > 0))[0]
+    entries = [(int(i), int(i), float(common[i])) for i in np.nonzero(common > 0)[0]]
+    if len(pos) == 0 or len(neg) == 0:
+        return entries, 0.0, union, np.zeros(len(union)), 0.0
+    supply = diff[pos]
+    demand = -diff[neg]
+    # Marginal totals can differ at rounding level; rescale the demand.
+    demand = demand * (supply.sum() / demand.sum())
+    src, tgt, mass, _u, v = solve(dist[np.ix_(pos, neg)], supply, demand)
+    moved = [(int(pos[i]), int(neg[j]), float(m)) for i, j, m in zip(src, tgt, mass)]
+    cost = 0.0
+    for (i, j), m in _cancel_cycles(moved):
+        cost += m * float(dist[i, j])
+        entries.append((i, j, m))
+    # Kantorovich potential: c-transform of the sink duals, 1-Lipschitz on
+    # all of X as a minimum of 1-Lipschitz functions.
+    f = np.min(dist[np.ix_(union, neg)] - v[None, :], axis=1)
+    obj = 0.0
+    for term in (f * diff[union]).tolist():
+        obj += term
+    return entries, cost, union, f, obj
+
+
+def plan_parts(entries, dist, dxy):
+    """The integrals of (dxy - d(x',y'))_+ and (dxy - d(x',y'))_- over the
+    plan entries (x', y', mass), summed in the order given."""
+    plus = minus = 0.0
+    for a, b, m in entries:
+        change = dxy - dist[a, b]
+        if change > 0:
+            plus += m * change
+        else:
+            minus -= m * change
+    return plus, minus
+
+
+def solve_pairs(P, dist, I, J):
+    """Certified W1 between the rows P[I[k]] and P[J[k]], for every k.
+
+    P: (rows, n) probability rows; dist: (n, n) distance matrix; I, J:
+    integer arrays of equal length.  Each pair gets the plan and dual of
+    pair_plan, which transport.w1 returns.
+
+    Returns five float arrays over the pairs: the cost W1; the integrals of
+    (d(x,y) - d(x',y'))_+ and (d(x,y) - d(x',y'))_- over the plan (diagonal
+    entries first, then the forest in sorted order), with (x, y) the pair;
+    the worst slack |f(a) - f(b)| - d(a,b) of the dual potential f on the
+    union of the two supports; and the primal-dual gap |<f, mu - nu> - cost|.
+    Raises ValueError when the shapes or indices do not fit.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    dist = np.asarray(dist, dtype=np.float64)
+    I = np.asarray(I, dtype=np.intp)
+    J = np.asarray(J, dtype=np.intp)
+    n = dist.shape[0]
+    if dist.shape != (n, n) or P.ndim != 2 or P.shape[1] != n:
+        raise ValueError(
+            f"rows of {P.shape[-1]} points for a {n} x {dist.shape[-1]} distance matrix"
+        )
+    if I.shape != J.shape or I.ndim != 1:
+        raise ValueError(f"I and J have {I.size} and {J.size} entries")
+    for k, (x, y) in enumerate(zip(I.tolist(), J.tolist())):
+        if not (0 <= x < len(P) and 0 <= y < len(P)):
+            raise ValueError(
+                f"pair {k}: row index ({x}, {y}) out of range for {len(P)} rows"
+            )
+    out = np.zeros((5, len(I)))
+    for k, (x, y) in enumerate(zip(I.tolist(), J.tolist())):
+        entries, cost, union, f, obj = pair_plan(P[x], P[y], dist)
+        slack = np.abs(f[:, None] - f[None, :]) - dist[np.ix_(union, union)]
+        out[:, k] = (cost, *plan_parts(entries, dist, dist[x, y]),
+                     slack.max(initial=-np.inf), abs(obj - cost))
+    return tuple(out)

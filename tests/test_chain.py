@@ -220,6 +220,18 @@ def test_heuristic_mode_lower_bound(cube4):
     assert heur >= 0.9 * exact  # the heuristic should be near-sharp here
 
 
+def test_heuristic_n_x_is_an_upper_bound(cube4, binom20):
+    """A heuristic maxVar is a lower bound, so sigma^2/maxVar bounds n_x from
+    above, and the label says so."""
+    for chain in (cube4, binom20):
+        for p in chain.space.points[:4]:
+            heur = local_stats(chain, p, "heuristic")
+            exact = local_stats(chain, p, "exact")
+            assert exact.certificate == "exact"
+            assert heur.certificate == "upper-bound"
+            assert heur.n_x >= exact.n_x - 1e-9
+
+
 def test_lazy_srw_maxvar_at_most_half(cube4):
     """Prop. 36: sigma^2/n_x <= 1/2 for lazy simple random walks."""
     for p in cube4.space.points:

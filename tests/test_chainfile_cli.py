@@ -1,6 +1,12 @@
+import contextlib
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -337,3 +343,46 @@ def test_verify_and_report_compute_each_quantity_once(runner, tmp_path, monkeypa
         assert len(max_var_calls) == 17
         assert set(max_var_calls.values()) == {1}
         assert len(nu_solves) == 1
+
+
+def test_pure_python_kernel_gives_the_same_bytes(runner, tmp_path):
+    """`coricci curvature` prints the same bytes on the pure-Python fallback
+    (CORICCI_PURE_PYTHON=1) as on the default kernel, the compiled one when
+    it is built: the fallback stays exercised by the suite."""
+    path = _gen(runner, tmp_path, "cube", "--n", "4")
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, coricci, coricci.cli; print(coricci.BACKEND, file=sys.stderr); coricci.cli.main()"
+
+    def run(argv, pure):
+        env = {k: v for k, v in os.environ.items() if k != "CORICCI_PURE_PYTHON"}
+        env["PYTHONPATH"] = str(src)
+        if pure:
+            env["CORICCI_PURE_PYTHON"] = "1"
+        proc = subprocess.run([sys.executable, "-c", script, "curvature", path] + argv,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.strip(), proc.stdout
+
+    for argv in ([], ["--geodesic", "1"]):
+        backend, default_out = run(argv, pure=False)
+        assert backend == coricci.BACKEND
+        backend, pure_out = run(argv, pure=True)
+        assert backend == "python"
+        assert pure_out == default_out
+        assert json.loads(pure_out)["pairs"]
+
+
+def test_in_process_run_does_not_keep_its_output_stream(runner, tmp_path):
+    """A caller that runs a command with stdout redirected (as the benchmark
+    and embedding code do) gets its stream back: nothing in the command
+    line keeps it, or all that was written to it, alive."""
+    path = _gen(runner, tmp_path, "cube", "--n", "3")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main.main(args=["curvature", path], prog_name="coricci")
+    assert exc.value.code == 0
+    assert json.loads(out.getvalue())["pairs"]
+    stream = weakref.ref(out)
+    del out
+    gc.collect()
+    assert stream() is None

@@ -1,19 +1,25 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import coricci as c
+from coricci import transport
 from coricci.chain import averaging, build_chain, lipschitz_constant, local_stats
 from coricci.curvature import (
+    _coupling_parts,
     contraction_check,
     kappa,
     kappa_decomposition,
     kappa_global,
 )
-from coricci.errors import NoPairs, NotGeodesic, SamePoint
+from coricci.errors import Infeasible, NoPairs, NotGeodesic, SamePoint
 from coricci.gallery import cube, geometric_reflect, glauber
-from coricci.metric import space_from_matrix
-from coricci.transport import Distribution
+from coricci.metric import is_epsilon_geodesic, is_hop, space_from_matrix
+from coricci.transport import Distribution, w1
 
 
 def cycle_chain(n):
@@ -215,3 +221,77 @@ def test_one_point_space_has_no_pairs():
     chain = build_chain(space_from_matrix(["a"], [[0.0]]), np.array([[1.0]]))
     with pytest.raises(NoPairs):
         kappa_global(chain)
+
+
+def _per_pair_scan(chain, eps=None):
+    """kappa_global's pairs as one w1 and _coupling_parts call per pair."""
+    space, dense = chain.space, chain.dense()
+    d = space.dist
+    out = []
+    for i, j in combinations(range(space.n), 2):
+        if eps is not None and not is_hop(d[i, j], eps):
+            continue
+        res = w1(Distribution(dense[i]), Distribution(dense[j]), space)
+        k = 1.0 - max(res.cost, 0.0) / d[i, j]
+        out.append((space.points[i], space.points[j], k)
+                   + _coupling_parts(res.plan, d, i, j))
+    return out
+
+
+def _assert_scan_matches_w1(chain, eps=None):
+    mode = "all-pairs" if eps is None else "geodesic"
+    rep = kappa_global(chain, mode=mode, eps=eps)
+    ref = _per_pair_scan(chain, eps)
+    got = [(p.x, p.y, p.kappa, p.kappa_plus, p.kappa_minus, p.U) for p in rep.pairs]
+    assert got == ref  # floats compared with ==: bit for bit
+    assert rep.global_kappa == min(r[2] for r in ref)
+
+
+def test_kappa_global_matches_per_pair_w1(cube4, binom20, glauber5):
+    for chain in (cube4, binom20, glauber5):
+        _assert_scan_matches_w1(chain)
+        _assert_scan_matches_w1(chain, eps=1)
+
+
+@st.composite
+def random_chains(draw):
+    n = draw(st.integers(2, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):  # integer grid metric: costs full of ties
+        cells = rng.choice(25, size=n, replace=False)
+        pts = np.stack([cells // 5, cells % 5], axis=1).astype(float)
+        dist = np.abs(pts[:, None] - pts[None, :]).sum(axis=2)
+    else:
+        pts = rng.random((n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    P = rng.integers(0, 3, size=(n, n)).astype(float)
+    P[np.arange(n), rng.integers(0, n, size=n)] += 1.0
+    return build_chain(space_from_matrix(range(n), dist), P / P.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=random_chains())
+def test_kappa_global_matches_per_pair_w1_random(chain):
+    _assert_scan_matches_w1(chain)
+
+
+@pytest.mark.parametrize("name", ["GAP_RTOL", "LIPSCHITZ_ATOL"])
+def test_kappa_global_checks_every_certificate(cube4, monkeypatch, name):
+    monkeypatch.setattr(transport, name, -1.0)
+    with pytest.raises(Infeasible, match=r"of pair \(\(0, 0, 0, 0\), \(0, 0, 0, 1\)\)"):
+        kappa_global(cube4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesic_scan_keeps_every_hop(n):
+    """Hops just above eps but within METRIC_ATOL count for the geodesic test,
+    so the scan must keep them too."""
+    step = 0.1 + 5e-13
+    x = np.arange(n) * step
+    space = space_from_matrix(range(n), np.abs(x[:, None] - x[None, :]))
+    chain = build_chain(space, np.full((n, n), 1 / n))
+    assert is_epsilon_geodesic(space, 0.1) == (True, None)
+    rep = kappa_global(chain, mode="geodesic", eps=0.1)
+    assert [(p.x, p.y) for p in rep.pairs] == [(i, i + 1) for i in range(n - 1)]
+    assert rep.global_kappa == 1.0

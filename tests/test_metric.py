@@ -20,6 +20,14 @@ def test_triangle_violation_rejected():
         build_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
+def test_triangle_violation_names_first_witness():
+    """The first intermediate point that fails, and the worst pair through it."""
+    dist = [[0, 1, 5, 7], [1, 0, 1, 2], [5, 1, 0, 1], [7, 2, 1, 0]]
+    with pytest.raises(MetricViolation,
+                       match=r"fails for \(0, 3\) via 1: d=7.0 > 3.0"):
+        build_space(dist)
+
+
 def test_asymmetry_rejected():
     with pytest.raises(MetricViolation):
         space_from_matrix([0, 1], [[0, 1], [2, 0]])

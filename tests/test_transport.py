@@ -120,10 +120,27 @@ def test_w1_dirac_to_row_equals_jump(cube4, binom20, glauber5):
             assert res.cost == pytest.approx(local_stats(chain, p).J, abs=1e-10)
 
 
-def test_backends_agree():
+def _grid_problem(rng, n):
+    """n distinct points of a 4 x 4 grid under the L1 metric (integer costs,
+    full of ties) and n rows, half with integer masses."""
+    cells = rng.choice(16, size=n, replace=False)
+    pts = np.stack([cells // 4, cells % 4], axis=1).astype(float)
+    dist = np.abs(pts[:, None] - pts[None, :]).sum(axis=2)
+    support = rng.random((n, n)) < 0.6
+    support[np.arange(n), rng.integers(0, n, size=n)] = True
+    if rng.random() < 0.5:
+        P = rng.integers(1, 4, size=(n, n)) * support.astype(float)
+    else:
+        P = rng.random((n, n)) * support
+    return P / P.sum(axis=1, keepdims=True), dist
+
+
+def test_backends_agree(monkeypatch):
     """Both kernels do the same arithmetic in the same order, so plans and
     duals agree bit for bit, also on the tied shortest paths that integer
-    costs (as on the cube and Hamming metrics) produce."""
+    costs (as on the cube and Hamming metrics) produce.  The same holds for
+    the batched solve_pairs, also where cycle cancelling changes the kernel's
+    plan, which never happens on the gallery scans."""
     _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
     rng = np.random.default_rng(3)
     for k in range(60):
@@ -140,6 +157,27 @@ def test_backends_agree():
         for x_py, x_c in zip(out_py, out_c):
             assert x_py.dtype == x_c.dtype
             assert np.array_equal(x_py, x_c)
+
+    cancel = _mcf_py._cancel_cycles
+    changed = []
+
+    def counting(entries):
+        entries = list(entries)
+        out = cancel(entries)
+        changed.append(out != sorted(((i, j), m) for i, j, m in entries))
+        return out
+
+    monkeypatch.setattr(_mcf_py, "_cancel_cycles", counting)
+    for _ in range(150):
+        P, dist = _grid_problem(rng, int(rng.integers(2, 11)))
+        I, J = np.triu_indices(len(P), 1)
+        out_py = _mcf_py.solve_pairs(P, dist, I, J)
+        out_c = _mcf_cy.solve_pairs(P, dist, I, J)
+        assert len(out_py) == len(out_c) == 5
+        for x_py, x_c in zip(out_py, out_c):
+            assert x_py.dtype == x_c.dtype == np.float64
+            assert np.array_equal(x_py, x_c)
+    assert sum(changed) >= 10, (sum(changed), len(changed))
 
 
 def test_kernels_reject_mismatched_sizes():
@@ -179,3 +217,20 @@ def test_w1_property_nonnegative_and_certified(weights, seed):
     res.dual.validate(space)
     # cost bounded by the diameter of the space
     assert res.cost <= space.diameter + 1e-12
+
+
+def test_solve_pairs_rejects_bad_indices():
+    P = np.full((3, 3), 1 / 3)
+    dist = np.ones((3, 3)) - np.eye(3)
+    for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        with pytest.raises(ValueError, match="I and J have 2 and 1 entries"):
+            kernel.solve_pairs(P, dist, [0, 1], [2])
+        with pytest.raises(ValueError, match="out of range for 3 rows"):
+            kernel.solve_pairs(P, dist, [0, 1], [2, 3])
+        with pytest.raises(ValueError, match="out of range for 3 rows"):
+            kernel.solve_pairs(P, dist, [-1], [2])
+        with pytest.raises(ValueError, match="rows of 2 points"):
+            kernel.solve_pairs(P[:, :2], dist, [0], [1])
+        empty = kernel.solve_pairs(P, dist, np.zeros(0, dtype=np.intp),
+                                   np.zeros(0, dtype=np.intp))
+        assert [x.shape for x in empty] == [(0,)] * 5
