@@ -1,17 +1,21 @@
 """Exact L1 optimal transport with primal plans and dual certificates.
 
-w1 solves one pair and returns its plan and dual.  w1_pairs solves every
-pair of a curvature scan in one kernel call, with the plans w1 would
-return, and returns per-pair costs and plan integrals after checking each
-pair's certificate.  The kernel (successive shortest paths on the reduced
-bipartite problem, and the batched scan, which also reduces each plan to a
-forest and integrates over it) is a C extension with a pure-Python fallback
-of identical arithmetic; selection happens at import time and can be forced
-with CORICCI_PURE_PYTHON=1.
+w1 solves one pair in one kernel call and returns its plan and dual.
+w1_pairs solves every pair of a curvature scan in one kernel call, with the
+plans w1 would return, and returns per-pair costs and plan integrals.  Both
+check each pair's certificate.  The kernel (successive shortest paths on
+the reduced bipartite problem, whose Dijkstra takes the node of smallest
+distance, lowest index first, from a binary heap ordered by (distance, node
+index); the reduction of each plan to a forest; the
+c-transform dual with its Lipschitz slack and primal-dual gap; and, for the
+scan, the integrals over each plan) is a C extension with a pure-Python
+fallback of identical arithmetic; selection happens at import time and can
+be forced with CORICCI_PURE_PYTHON=1.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from ..errors import Infeasible
 from ..metric import FiniteMetricSpace
-from ._mcf_py import MASS_ATOL, pair_plan, plan_parts
+from ._mcf_py import MASS_ATOL, plan_parts
 
 if os.environ.get("CORICCI_PURE_PYTHON"):
     from . import _mcf_py as _kernel
@@ -48,10 +52,15 @@ class Distribution:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
+        total = w.sum()
+        # A NaN or infinite weight makes the sum non-finite; look for it only then.
+        if not math.isfinite(total) and not np.isfinite(w).all():
+            k = np.flatnonzero(~np.isfinite(w))[0]
+            raise ValueError(f"non-finite weight {float(w[k])!r} at index {k}")
         if np.any(w < 0):
             raise ValueError("negative weight in distribution")
-        if abs(w.sum() - 1.0) > MASS_ATOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        if abs(total - 1.0) > MASS_ATOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
 
@@ -133,21 +142,24 @@ def w1(mu: Distribution, nu: Distribution, space: FiniteMetricSpace) -> W1Result
     """Exact W1 distance with an optimal plan and a 1-Lipschitz dual.
 
     The common mass of mu and nu stays in place (diagonal plan entries);
-    only the difference is shipped through the min-cost-flow kernel.
-    Every call asserts strong duality to 1e-9 relative.
+    only the difference is shipped through the min-cost-flow kernel, in one
+    kernel call that also certifies the dual.  Every call asserts a
+    1-Lipschitz dual and strong duality to 1e-9 relative.
     """
     if len(mu.weights) != space.n or len(nu.weights) != space.n:
         raise Infeasible("distribution size does not match space")
-    entries, cost, union, f, dual_obj = pair_plan(
-        mu.weights, nu.weights, space.dist, _kernel.solve_transport)
+    src, tgt, mass, cost, union, f, slack, gap = _kernel.solve_pair(
+        mu.weights, nu.weights, space.dist)
     dual = DualPotential(tuple(union.tolist()), f)
-    dual.validate(space)
-    if abs(dual_obj - cost) > GAP_RTOL * max(1.0, abs(cost)):
+    if slack > LIPSCHITZ_ATOL:
+        dual.validate(space)  # raises, naming the witness pair
+    if gap > GAP_RTOL * max(1.0, abs(cost)):
         raise Infeasible(
-            f"primal-dual gap {abs(dual_obj - cost)!r} exceeds tolerance "
-            f"(primal {cost!r}, dual {dual_obj!r})"
+            f"primal-dual gap {gap!r} exceeds tolerance "
+            f"(primal {cost!r}, dual {dual.objective(mu, nu)!r})"
         )
-    return W1Result(cost, CouplingPlan(tuple(entries)), dual)
+    plan = CouplingPlan(tuple(zip(src.tolist(), tgt.tolist(), mass.tolist())))
+    return W1Result(cost, plan, dual)
 
 
 def w1_pairs(P: np.ndarray, space: FiniteMetricSpace, I, J):

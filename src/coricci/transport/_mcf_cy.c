@@ -1,20 +1,27 @@
 /* Compiled transport kernel: successive shortest paths for dense
- * transportation, and the batched pair scan built on it.
+ * transportation, and the single-pair solve and batched pair scan built on it.
  *
  * solve_transport has the contract of coricci.transport._mcf_py and the same
- * arithmetic in the same order: Dijkstra ties break on the lowest node index,
- * every reduced cost and distance is summed as there, and the plan is listed
- * in row-major order, as np.nonzero lists it.  The supply total is a
- * sequential sum.
+ * arithmetic in the same order: every reduced cost and distance is summed as
+ * there, and the plan is listed in row-major order, as np.nonzero lists it.
+ * The supply total is a sequential sum.  Each Dijkstra step pops its node
+ * from a binary heap ordered by (distance, node index): the node of smallest
+ * distance, the lowest index on ties, which is the node _mcf_py's linear scan
+ * picks, so both kernels give the same plans and duals.  The heap lives in the
+ * caller's work block, so the kernel keeps no state between calls.
  *
- * solve_pairs(P, dist, I, J) certifies W1 between the rows P[I[k]] and
- * P[J[k]] for every k in one call, as transport.w1 does for one pair: common
- * mass stays in place, the rest is shipped by solve(), the plan is reduced to
- * a forest by a port of _mcf_py._cancel_cycles, and the cost, the integrals
- * of (d(x,y) - d(x',y'))_+ and _- over the plan, the Lipschitz slack of the
- * c-transform dual and the primal-dual gap are returned per pair.  The
- * arithmetic, including numpy's pairwise summation order for the demand
- * rescaling, is that of _mcf_py.solve_pairs, so both give the same bits.
+ * solve_pair(mu, nu, dist) certifies W1 between two probability vectors in
+ * one call, as transport.w1 needs it: common mass stays in place, the rest is
+ * shipped by solve(), the plan is reduced to a forest by a port of
+ * _mcf_py._cancel_cycles, and the plan (diagonal entries first, then the
+ * forest in sorted order), its cost, the union of the supports, the
+ * c-transform dual on it, the dual's Lipschitz slack and the primal-dual gap
+ * are returned.  solve_pairs(P, dist, I, J) does the same for the rows P[I[k]]
+ * and P[J[k]] for every k, through the same static certify_pair, and returns
+ * per pair the cost, the integrals of (d(x,y) - d(x',y'))_+ and _- over the
+ * plan, the slack and the gap.  The arithmetic, including numpy's pairwise
+ * summation order for the demand rescaling, is that of _mcf_py.solve_pair
+ * and _mcf_py.solve_pairs, so both kernels give the same bits.
  *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
@@ -32,13 +39,67 @@
 #define MASS_EPS 1e-15
 #define MASS_ATOL 1e-12 /* coricci.transport.MASS_ATOL */
 
-/* Returns 0 on success, -1 when no sink is reachable (infeasible). */
+/* The nodes whose distance is finite and not yet final, as a binary heap
+ * ordered by (distance, node index): its top is the node a linear scan for
+ * the smallest distance, lowest index first, would pick.  slot[v] is v's
+ * position in node[], or -1 when v is not in the heap. */
+typedef struct {
+    npy_intp *node, *slot, size;
+} Heap;
+
+static int before(const double *dist, npy_intp u, npy_intp v)
+{
+    return dist[u] < dist[v] || (dist[u] == dist[v] && u < v);
+}
+
+static void heap_place(Heap *h, npy_intp k, npy_intp v)
+{
+    h->node[k] = v;
+    h->slot[v] = k;
+}
+
+/* Inserts v, or moves it up after its distance decreased. */
+static void heap_update(Heap *h, const double *dist, npy_intp v)
+{
+    npy_intp k = h->slot[v] < 0 ? h->size++ : h->slot[v], p;
+
+    for (; k > 0 && before(dist, v, h->node[p = (k - 1) / 2]); k = p)
+        heap_place(h, k, h->node[p]);
+    heap_place(h, k, v);
+}
+
+/* Removes and returns the top node, or -1 when the heap is empty. */
+static npy_intp heap_pop(Heap *h, const double *dist)
+{
+    npy_intp top, last, k = 0, c;
+
+    if (h->size == 0)
+        return -1;
+    top = h->node[0];
+    h->slot[top] = -1;
+    last = h->node[--h->size];
+    if (h->size == 0)
+        return top;
+    for (; (c = 2 * k + 1) < h->size; k = c) {
+        if (c + 1 < h->size && before(dist, h->node[c + 1], h->node[c]))
+            c++;
+        if (!before(dist, h->node[c], last))
+            break;
+        heap_place(h, k, h->node[c]);
+    }
+    heap_place(h, k, last);
+    return top;
+}
+
+/* Returns 0 on success, -1 when no sink is reachable (infeasible).  heap
+ * and slot hold ns + nt entries each. */
 static int solve(const double *C, double *a, double *b, npy_intp ns,
                  npy_intp nt, double *flow, double *pot, double *dist,
-                 npy_intp *parent, char *done)
+                 npy_intp *parent, char *done, npy_intp *heap, npy_intp *slot)
 {
     npy_intp nv = ns + nt, i, j, u, v, target, root;
-    double total = 0.0, remaining, best, dt, rc, nd, eps, stop;
+    double total = 0.0, remaining, dt, rc, nd, eps, stop;
+    Heap h = {heap, slot, 0};
 
     for (i = 0; i < ns; i++)
         total += a[i];
@@ -49,22 +110,16 @@ static int solve(const double *C, double *a, double *b, npy_intp ns,
             dist[v] = INFINITY;
             parent[v] = -1;
             done[v] = 0;
+            slot[v] = -1;
         }
+        h.size = 0;
         for (i = 0; i < ns; i++)
-            if (a[i] > MASS_EPS)
+            if (a[i] > MASS_EPS) {
                 dist[i] = 0.0;
-        target = -1;
-        for (;;) {
-            u = -1;
-            best = INFINITY;
-            for (v = 0; v < nv; v++) {
-                if (!done[v] && dist[v] < best) {
-                    best = dist[v];
-                    u = v;
-                }
+                heap_update(&h, dist, i);
             }
-            if (u < 0)
-                break;
+        target = -1;
+        while ((u = heap_pop(&h, dist)) >= 0) {
             done[u] = 1;
             if (u >= ns && b[u - ns] > MASS_EPS) {
                 target = u;
@@ -82,6 +137,7 @@ static int solve(const double *C, double *a, double *b, npy_intp ns,
                     if (nd < dist[v]) {
                         dist[v] = nd;
                         parent[v] = u;
+                        heap_update(&h, dist, v);
                     }
                 }
             } else {
@@ -96,6 +152,7 @@ static int solve(const double *C, double *a, double *b, npy_intp ns,
                     if (nd < dist[i]) {
                         dist[i] = nd;
                         parent[i] = u;
+                        heap_update(&h, dist, i);
                     }
                 }
             }
@@ -167,7 +224,7 @@ static PyObject *pack(const double *flow, const double *pot, npy_intp ns,
     return NULL;
 }
 
-static PyObject *solve_transport(PyObject *self, PyObject *args)
+static PyObject *solve_transport(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *cost_in, *supply_in, *demand_in, *out = NULL;
     PyArrayObject *cost = NULL, *supply = NULL, *demand = NULL;
@@ -195,9 +252,10 @@ static PyObject *solve_transport(PyObject *self, PyObject *args)
         goto finish;
     }
     nv = ns + nt;
-    /* a and b (nv), flow (ns * nt), pot and dist (2 nv), parent and done
-     * (nv each, done over-allocated); one more slot so the size is never 0. */
-    work = calloc(5 * nv + ns * nt + 1, sizeof(double));
+    /* a and b (nv), flow (ns * nt), pot and dist (2 nv), parent, heap, slot
+     * and done (nv each, done over-allocated); one more slot so the size is
+     * never 0. */
+    work = calloc(7 * nv + ns * nt + 1, sizeof(double));
     if (!work) {
         PyErr_NoMemory();
         goto finish;
@@ -205,13 +263,14 @@ static PyObject *solve_transport(PyObject *self, PyObject *args)
     {
         double *a = work, *b = a + ns, *flow = b + nt, *pot = flow + ns * nt;
         double *dist = pot + nv;
-        npy_intp *parent = (npy_intp *)(dist + nv);
-        char *done = (char *)(parent + nv);
+        npy_intp *parent = (npy_intp *)(dist + nv), *heap = parent + nv;
+        npy_intp *slot = heap + nv;
+        char *done = (char *)(slot + nv);
 
         memcpy(a, PyArray_DATA(supply), ns * sizeof(double));
         memcpy(b, PyArray_DATA(demand), nt * sizeof(double));
         if (solve(PyArray_DATA(cost), a, b, ns, nt, flow, pot, dist, parent,
-                  done) < 0)
+                  done, heap, slot) < 0)
             PyErr_SetString(PyExc_RuntimeError,
                             "transportation problem infeasible");
         else
@@ -255,11 +314,17 @@ static double pairwise_sum(const double *a, npy_intp n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* Work arrays for one pair, sized for rows of n points. */
+/* Work arrays for one pair, sized for rows of n points.  After certify_pair
+ * they hold the pair's plan and dual: the ns sources pos[] and nt sinks
+ * neg[], the forest (tree, in_tree) over the ns x nt cells with its ncell
+ * cells listed in sorted order in cell[], and the dual f on the nuni points
+ * uni[] of the union of the supports. */
 typedef struct {
     double *diff, *a, *b, *f, *C, *flow, *tree, *pot, *dist;
-    npy_intp *pos, *neg, *uni, *parent, *prev, *queue, *path;
+    npy_intp *pos, *neg, *uni, *parent, *prev, *queue, *path, *heap, *slot;
+    npy_intp *cell;
     char *done, *in_tree;
+    npy_intp ns, nt, nuni, ncell;
 } Work;
 
 static void *work_alloc(Work *w, npy_intp n)
@@ -268,7 +333,7 @@ static void *work_alloc(Work *w, npy_intp n)
     /* Doubles, then indices, then flags, so that every part is aligned;
      * one more byte so the size is never 0. */
     char *block = malloc((8 * n + 3 * nn) * sizeof(double) +
-                         11 * n * sizeof(npy_intp) + 2 * n + nn + 1);
+                         17 * n * sizeof(npy_intp) + 2 * n + nn + 1);
     double *d = (double *)block;
     npy_intp *p;
 
@@ -291,7 +356,10 @@ static void *work_alloc(Work *w, npy_intp n)
     w->prev = p + 5 * n;
     w->queue = p + 7 * n;
     w->path = p + 9 * n;
-    w->done = (char *)(p + 11 * n); /* 2 n */
+    w->heap = p + 11 * n;
+    w->slot = p + 13 * n;
+    w->cell = p + 15 * n; /* 2 n: a forest on ns + nt nodes has fewer edges */
+    w->done = (char *)(p + 17 * n); /* 2 n */
     w->in_tree = w->done + 2 * n;
     return block;
 }
@@ -387,7 +455,7 @@ static void cancel_cycles(const double *flow, npy_intp ns, npy_intp nt,
 }
 
 /* Adds m * (d(x,y) - d(x',y')) to *plus or subtracts it from *minus, as
- * curvature._coupling_parts does for one plan entry. */
+ * _mcf_py.plan_parts does for one plan entry. */
 static void add_part(double m, double change, double *plus, double *minus)
 {
     if (change > 0)
@@ -396,14 +464,21 @@ static void add_part(double m, double change, double *plus, double *minus)
         *minus -= m * change;
 }
 
-/* W1 between the rows mu and nu (n points, distances D) with the pair's
- * distance dxy: out = (cost, plus, minus, slack, gap).  Returns -1 when the
- * transportation problem is infeasible. */
-static int solve_pair(const double *mu, const double *nu, const double *D,
-                      npy_intp n, double dxy, Work *w, double *out)
+/* The common mass of mu and nu at point u, the diagonal plan entry there. */
+static double common(const double *mu, const double *nu, npy_intp u)
 {
-    npy_intp u, i, j, k, q, r, ns = 0, nt = 0, nu_ = 0;
-    double c, scale, cost = 0.0, plus = 0.0, minus = 0.0, slack, obj, s;
+    return mu[u] < nu[u] ? mu[u] : nu[u];
+}
+
+/* W1 between the rows mu and nu (n points, distances D), as
+ * _mcf_py.pair_plan computes it, with its certificate: out = (cost, slack,
+ * gap), and the plan and dual are left in w.  Returns -1 when the
+ * transportation problem is infeasible. */
+static int certify_pair(const double *mu, const double *nu, const double *D,
+                      npy_intp n, Work *w, double *out)
+{
+    npy_intp u, i, j, k, q, r, ns = 0, nt = 0, nuni = 0, ncell = 0;
+    double scale, cost = 0.0, slack, obj, s;
 
     for (u = 0; u < n; u++) {
         w->diff[u] = mu[u] - nu[u];
@@ -412,17 +487,15 @@ static int solve_pair(const double *mu, const double *nu, const double *D,
         else if (w->diff[u] < -MASS_ATOL)
             w->neg[nt++] = u;
         if (mu[u] > 0 || nu[u] > 0)
-            w->uni[nu_++] = u;
+            w->uni[nuni++] = u;
     }
-    /* Common mass stays in place: the diagonal plan entries come first. */
-    for (u = 0; u < n; u++) {
-        c = mu[u] < nu[u] ? mu[u] : nu[u];
-        if (c > 0)
-            add_part(c, dxy - D[u * n + u], &plus, &minus);
-    }
+    w->ns = ns;
+    w->nt = nt;
+    w->nuni = nuni;
+    w->ncell = 0;
     if (ns == 0 || nt == 0) {
         /* Nothing moves: the dual is zero on the union of supports. */
-        for (q = 0; q < nu_; q++)
+        for (q = 0; q < nuni; q++)
             w->f[q] = 0.0;
         goto certify;
     }
@@ -441,20 +514,20 @@ static int solve_pair(const double *mu, const double *nu, const double *D,
     memset(w->flow, 0, ns * nt * sizeof(double));
     memset(w->pot, 0, (ns + nt) * sizeof(double));
     if (solve(w->C, w->a, w->b, ns, nt, w->flow, w->pot, w->dist, w->parent,
-              w->done) < 0)
+              w->done, w->heap, w->slot) < 0)
         return -1;
 
     cancel_cycles(w->flow, ns, nt, w);
-    for (k = 0; k < ns * nt; k++) {
-        if (!w->in_tree[k])
-            continue;
-        cost += w->tree[k] * w->C[k];
-        add_part(w->tree[k], dxy - w->C[k], &plus, &minus);
-    }
+    for (k = 0; k < ns * nt; k++)
+        if (w->in_tree[k]) {
+            w->cell[ncell++] = k;
+            cost += w->tree[k] * w->C[k];
+        }
+    w->ncell = ncell;
 
     /* Kantorovich potential on the union of supports: the c-transform of
      * the sink duals, f(x) = min_j d(x, neg[j]) - v[j]. */
-    for (q = 0; q < nu_; q++) {
+    for (q = 0; q < nuni; q++) {
         const double *row = D + w->uni[q] * n;
         w->f[q] = row[w->neg[0]] - w->pot[ns];
         for (j = 1; j < nt; j++)
@@ -463,24 +536,43 @@ static int solve_pair(const double *mu, const double *nu, const double *D,
     }
 certify:
     slack = -INFINITY;
-    for (q = 0; q < nu_; q++)
-        for (r = 0; r < nu_; r++) {
+    for (q = 0; q < nuni; q++)
+        for (r = 0; r < nuni; r++) {
             s = fabs(w->f[q] - w->f[r]) - D[w->uni[q] * n + w->uni[r]];
             if (s > slack)
                 slack = s;
         }
     obj = 0.0;
-    for (q = 0; q < nu_; q++)
+    for (q = 0; q < nuni; q++)
         obj += w->f[q] * w->diff[w->uni[q]];
     out[0] = cost;
-    out[1] = plus;
-    out[2] = minus;
-    out[3] = slack;
-    out[4] = fabs(obj - cost);
+    out[1] = slack;
+    out[2] = fabs(obj - cost);
     return 0;
 }
 
-static PyObject *solve_pairs(PyObject *self, PyObject *args)
+/* The integrals of (dxy - d(x',y'))_+ and _- over the plan certify_pair left
+ * in w: the diagonal entries first, then the forest in sorted order.  They
+ * are summed in locals, which cannot alias the plan. */
+static void plan_parts(const double *mu, const double *nu, const double *D,
+                       npy_intp n, double dxy, const Work *w, double *plus,
+                       double *minus)
+{
+    npy_intp u, q, k;
+    double c, p = 0.0, m = 0.0;
+
+    for (u = 0; u < n; u++)
+        if ((c = common(mu, nu, u)) > 0)
+            add_part(c, dxy - D[u * n + u], &p, &m);
+    for (q = 0; q < w->ncell; q++) {
+        k = w->cell[q];
+        add_part(w->tree[k], dxy - w->C[k], &p, &m);
+    }
+    *plus = p;
+    *minus = m;
+}
+
+static PyObject *solve_pairs(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *P_in, *dist_in, *xs_in, *ys_in, *out = NULL;
     PyArrayObject *P = NULL, *dist = NULL, *xs = NULL, *ys = NULL;
@@ -536,19 +628,23 @@ static PyObject *solve_pairs(PyObject *self, PyObject *args)
     }
     {
         const double *Pd = PyArray_DATA(P), *D = PyArray_DATA(dist);
-        double one[5];
+        double *o[5], one[3];
 
+        for (f = 0; f < 5; f++)
+            o[f] = PyArray_DATA(res[f]);
         for (k = 0; k < npairs; k++) {
             x = ((npy_intp *)PyArray_DATA(xs))[k];
             y = ((npy_intp *)PyArray_DATA(ys))[k];
-            if (solve_pair(Pd + x * n, Pd + y * n, D, n, D[x * n + y], &w,
-                           one) < 0) {
+            if (certify_pair(Pd + x * n, Pd + y * n, D, n, &w, one) < 0) {
                 PyErr_SetString(PyExc_RuntimeError,
                                 "transportation problem infeasible");
                 goto finish;
             }
-            for (f = 0; f < 5; f++)
-                ((double *)PyArray_DATA(res[f]))[k] = one[f];
+            o[0][k] = one[0];
+            plan_parts(Pd + x * n, Pd + y * n, D, n, D[x * n + y], &w,
+                       o[1] + k, o[2] + k);
+            o[3][k] = one[1];
+            o[4][k] = one[2];
         }
     }
     out = Py_BuildValue("(NNNNN)", res[0], res[1], res[2], res[3], res[4]);
@@ -565,9 +661,103 @@ finish:
     return out;
 }
 
+/* (src, tgt, mass, cost, union, f, slack, gap) from the plan and dual
+ * certify_pair left in w and its out = (cost, slack, gap). */
+static PyObject *pack_pair(const double *mu, const double *nu, npy_intp n,
+                           const Work *w, const double *out)
+{
+    npy_intp u, q, k, count = w->ncell, nuni = w->nuni;
+    PyArrayObject *src, *tgt, *mass, *uni, *f;
+
+    for (u = 0; u < n; u++)
+        count += common(mu, nu, u) > 0;
+    src = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_INTP);
+    tgt = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_INTP);
+    mass = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_DOUBLE);
+    uni = (PyArrayObject *)PyArray_SimpleNew(1, &nuni, NPY_INTP);
+    f = (PyArrayObject *)PyArray_SimpleNew(1, &nuni, NPY_DOUBLE);
+    if (src && tgt && mass && uni && f) {
+        npy_intp *s = PyArray_DATA(src), *t = PyArray_DATA(tgt);
+        double *m = PyArray_DATA(mass), c;
+
+        count = 0;
+        for (u = 0; u < n; u++) {
+            if ((c = common(mu, nu, u)) > 0) {
+                s[count] = t[count] = u;
+                m[count++] = c;
+            }
+        }
+        for (q = 0; q < w->ncell; q++) {
+            k = w->cell[q];
+            s[count] = w->pos[k / w->nt];
+            t[count] = w->neg[k % w->nt];
+            m[count++] = w->tree[k];
+        }
+        memcpy(PyArray_DATA(uni), w->uni, nuni * sizeof(npy_intp));
+        memcpy(PyArray_DATA(f), w->f, nuni * sizeof(double));
+        return Py_BuildValue("(NNNdNNdd)", src, tgt, mass, out[0], uni, f,
+                             out[1], out[2]);
+    }
+    Py_XDECREF(src);
+    Py_XDECREF(tgt);
+    Py_XDECREF(mass);
+    Py_XDECREF(uni);
+    Py_XDECREF(f);
+    return NULL;
+}
+
+static PyObject *solve_pair(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *mu_in, *nu_in, *dist_in, *out = NULL;
+    PyArrayObject *mu = NULL, *nu = NULL, *dist = NULL;
+    void *block = NULL;
+    Work w;
+    npy_intp n;
+    double one[3];
+    int flags = NPY_ARRAY_IN_ARRAY;
+
+    if (!PyArg_ParseTuple(args, "OOO:solve_pair", &mu_in, &nu_in, &dist_in))
+        return NULL;
+    mu = (PyArrayObject *)PyArray_FROMANY(mu_in, NPY_DOUBLE, 1, 1, flags);
+    nu = (PyArrayObject *)PyArray_FROMANY(nu_in, NPY_DOUBLE, 1, 1, flags);
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2, flags);
+    if (!mu || !nu || !dist)
+        goto finish;
+    n = PyArray_DIM(mu, 0);
+    if (PyArray_DIM(nu, 0) != n || PyArray_DIM(dist, 0) != n ||
+        PyArray_DIM(dist, 1) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "mu and nu have %zd and %zd entries for a %zd x %zd "
+                     "distance matrix",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(nu, 0),
+                     (Py_ssize_t)PyArray_DIM(dist, 0),
+                     (Py_ssize_t)PyArray_DIM(dist, 1));
+        goto finish;
+    }
+    if (!(block = work_alloc(&w, n))) {
+        PyErr_NoMemory();
+        goto finish;
+    }
+    if (certify_pair(PyArray_DATA(mu), PyArray_DATA(nu), PyArray_DATA(dist),
+                     n, &w, one) < 0) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "transportation problem infeasible");
+        goto finish;
+    }
+    out = pack_pair(PyArray_DATA(mu), PyArray_DATA(nu), n, &w, one);
+finish:
+    free(block);
+    Py_XDECREF(mu);
+    Py_XDECREF(nu);
+    Py_XDECREF(dist);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"solve_transport", solve_transport, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_transport."},
+    {"solve_pair", solve_pair, METH_VARARGS,
+     "See coricci.transport._mcf_py.solve_pair."},
     {"solve_pairs", solve_pairs, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_pairs."},
     {NULL, NULL, 0, NULL},
@@ -575,8 +765,9 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
-    "Compiled transport kernel: dense transportation and batched pair scans.",
-    -1, methods,
+    "Compiled transport kernel: dense transportation, single certified pairs "
+    "and batched pair scans.",
+    -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__mcf_cy(void)

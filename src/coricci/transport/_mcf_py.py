@@ -1,10 +1,13 @@
 """Pure-Python transport kernel: successive shortest paths for dense
-transportation, the reduction of a plan to a forest, and the batched pair
-scan built on both.
+transportation, the reduction of a plan to a forest, and the single-pair
+solve and batched pair scan built on both.
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
-tested against: both do the same arithmetic in the same order.
+tested against: both do the same arithmetic in the same order.  Each
+Dijkstra step here scans for the node of smallest distance, lowest index
+first; the C kernel pops the same node from a binary heap ordered by
+(distance, node index).
 """
 
 from __future__ import annotations
@@ -177,16 +180,17 @@ def _cancel_cycles(entries):
     return sorted(flows.items())
 
 
-def pair_plan(mu, nu, dist, solve=solve_transport):
+def pair_plan(mu, nu, dist):
     """The plan and dual transport.w1 returns between the probability
-    vectors mu and nu, computed with the transportation kernel solve.
+    vectors mu and nu.
 
-    The common mass stays in place; the difference is shipped by solve and
-    the plan is reduced to a forest by _cancel_cycles.  Returns (entries,
-    cost, union, f, obj): the plan as (i, j, mass) with the diagonal entries
-    first and the forest after, in sorted order; its cost; the union of the
-    two supports; the dual potential f on it, the c-transform of the sink
-    duals (zero when no mass moves); and the dual objective <f, mu - nu>.
+    The common mass stays in place; the difference is shipped by
+    solve_transport and the plan is reduced to a forest by _cancel_cycles.
+    Returns (entries, cost, union, f, obj): the plan as (i, j, mass) with the
+    diagonal entries first and the forest after, in sorted order; its cost;
+    the union of the two supports; the dual potential f on it, the
+    c-transform of the sink duals (zero when no mass moves); and the dual
+    objective <f, mu - nu>.
     Every sum runs in the order the C kernel's solve_pair uses.
     """
     diff = mu - nu
@@ -201,7 +205,7 @@ def pair_plan(mu, nu, dist, solve=solve_transport):
     demand = -diff[neg]
     # Marginal totals can differ at rounding level; rescale the demand.
     demand = demand * (supply.sum() / demand.sum())
-    src, tgt, mass, _u, v = solve(dist[np.ix_(pos, neg)], supply, demand)
+    src, tgt, mass, _u, v = solve_transport(dist[np.ix_(pos, neg)], supply, demand)
     moved = [(int(pos[i]), int(neg[j]), float(m)) for i, j, m in zip(src, tgt, mass)]
     cost = 0.0
     for (i, j), m in _cancel_cycles(moved):
@@ -227,6 +231,39 @@ def plan_parts(entries, dist, dxy):
         else:
             minus -= m * change
     return plus, minus
+
+
+def _certificate(dist, union, f, cost, obj):
+    """(slack, gap): the worst |f(a) - f(b)| - d(a, b) over the union of the
+    supports, and the primal-dual gap |obj - cost|."""
+    slack = np.abs(f[:, None] - f[None, :]) - dist[np.ix_(union, union)]
+    return float(slack.max(initial=-np.inf)), abs(obj - cost)
+
+
+def solve_pair(mu, nu, dist):
+    """Certified W1 between the probability vectors mu and nu over the
+    (n, n) distance matrix dist: the plan and dual of pair_plan.
+
+    Returns (src, tgt, mass, cost, union, f, slack, gap): the plan as
+    index, index and mass arrays (diagonal entries first, then the forest in
+    sorted order); its cost; the union of the two supports; the dual
+    potential f on it; the worst slack |f(a) - f(b)| - d(a,b) over the
+    union; and the primal-dual gap |<f, mu - nu> - cost|.
+    Raises ValueError when mu, nu and dist do not fit.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    dist = np.asarray(dist, dtype=np.float64)
+    if mu.ndim != 1 or nu.shape != mu.shape or dist.shape != mu.shape * 2:
+        raise ValueError(
+            f"mu and nu have {mu.size} and {nu.size} entries for a "
+            f"{dist.shape[0]} x {dist.shape[-1]} distance matrix"
+        )
+    entries, cost, union, f, obj = pair_plan(mu, nu, dist)
+    src = np.array([i for i, _j, _m in entries], dtype=np.intp)
+    tgt = np.array([j for _i, j, _m in entries], dtype=np.intp)
+    mass = np.array([m for _i, _j, m in entries], dtype=np.float64)
+    return (src, tgt, mass, cost, union, f, *_certificate(dist, union, f, cost, obj))
 
 
 def solve_pairs(P, dist, I, J):
@@ -262,7 +299,6 @@ def solve_pairs(P, dist, I, J):
     out = np.zeros((5, len(I)))
     for k, (x, y) in enumerate(zip(I.tolist(), J.tolist())):
         entries, cost, union, f, obj = pair_plan(P[x], P[y], dist)
-        slack = np.abs(f[:, None] - f[None, :]) - dist[np.ix_(union, union)]
         out[:, k] = (cost, *plan_parts(entries, dist, dist[x, y]),
-                     slack.max(initial=-np.inf), abs(obj - cost))
+                     *_certificate(dist, union, f, cost, obj))
     return tuple(out)

@@ -1,4 +1,10 @@
+import importlib.util
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from scipy.optimize import linprog
 
 from coricci import transport
 from coricci.chain import local_stats
+from coricci.curvature import contraction_check
+from coricci.errors import Infeasible
 from coricci.metric import space_from_matrix
 from coricci.transport import Distribution, _mcf_py, w1
 
@@ -135,16 +143,33 @@ def _grid_problem(rng, n):
     return P / P.sum(axis=1, keepdims=True), dist
 
 
+def _full_support_problem(rng, n):
+    """Two full-support measures on n points, of the plane or of a 4 x 4 x 4
+    grid under the L1 metric (integer costs, full of ties)."""
+    if rng.random() < 0.5:
+        pts = rng.random((n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    else:
+        cells = rng.choice(64, size=n, replace=False)
+        pts = np.stack([cells // 16, cells // 4 % 4, cells % 4], axis=1)
+        dist = np.abs(pts[:, None] - pts[None, :]).sum(axis=2).astype(float)
+    mu, nu = rng.dirichlet(np.ones(n), size=2)
+    return mu, nu, dist
+
+
 def test_backends_agree(monkeypatch):
     """Both kernels do the same arithmetic in the same order, so plans and
     duals agree bit for bit, also on the tied shortest paths that integer
-    costs (as on the cube and Hamming metrics) produce.  The same holds for
-    the batched solve_pairs, also where cycle cancelling changes the kernel's
-    plan, which never happens on the gallery scans."""
+    costs (as on the cube and Hamming metrics) produce, and on problems of
+    20 to 70 points a side, where the C kernel's Dijkstra heap grows deep.
+    The same holds for solve_pair and the batched solve_pairs, also where cycle
+    cancelling changes the kernel's plan, which never happens on the gallery
+    scans."""
     _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
     rng = np.random.default_rng(3)
-    for k in range(60):
-        ns, nt = rng.integers(1, 9, size=2)
+    sizes = [rng.integers(1, 9, size=2) for _ in range(60)]
+    sizes += [rng.integers(20, 71, size=2) for _ in range(8)]
+    for k, (ns, nt) in enumerate(sizes):
         if k % 2:
             cost = rng.integers(1, 5, size=(ns, nt)).astype(float)
         else:
@@ -179,6 +204,21 @@ def test_backends_agree(monkeypatch):
             assert np.array_equal(x_py, x_c)
     assert sum(changed) >= 10, (sum(changed), len(changed))
 
+    problems = []
+    for _ in range(40):
+        P, dist = _grid_problem(rng, int(rng.integers(2, 11)))
+        x, y = rng.integers(0, len(P), size=2)
+        problems.append((P[x], P[y], dist))
+    problems += [_full_support_problem(rng, int(rng.integers(13, 41)))
+                 for _ in range(10)]
+    for mu, nu, dist in problems:
+        out_py = _mcf_py.solve_pair(mu, nu, dist)
+        out_c = _mcf_cy.solve_pair(mu, nu, dist)
+        assert len(out_py) == len(out_c) == 8
+        for x_py, x_c in zip(out_py, out_c):
+            assert np.asarray(x_py).dtype == np.asarray(x_c).dtype
+            assert np.array_equal(x_py, x_c)
+
 
 def test_kernels_reject_mismatched_sizes():
     cost = np.ones((3, 3))
@@ -187,6 +227,82 @@ def test_kernels_reject_mismatched_sizes():
             kernel.solve_transport(cost, np.full(2, 0.5), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
             kernel.solve_transport(cost, np.full(3, 1 / 3), np.full(4, 0.25))
+        third, half = np.full(3, 1 / 3), np.full(2, 0.5)
+        with pytest.raises(ValueError, match="2 and 3 entries for a 3 x 3 dist"):
+            kernel.solve_pair(half, third, cost)
+        with pytest.raises(ValueError, match="3 and 2 entries for a 3 x 3 dist"):
+            kernel.solve_pair(third, half, cost)
+        with pytest.raises(ValueError, match="3 and 3 entries for a 3 x 2 dist"):
+            kernel.solve_pair(third, third, cost[:, :2])
+        with pytest.raises(ValueError, match="3 and 3 entries for a 2 x 3 dist"):
+            kernel.solve_pair(third, third, cost[:2])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("pure_python", [False, True])
+def test_solve_pair_reports_failed_allocation(pure_python):
+    """With too little address space left for its work arrays, solve_pair
+    raises MemoryError, not "transportation problem infeasible"."""
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from coricci import transport
+
+        n = 2000
+        mu, dist = np.full(n, 1 / n), np.ones((n, n))
+        with open("/proc/self/status") as fh:
+            vm = next(int(l.split()[1]) for l in fh if l.startswith("VmSize"))
+        # 16 MiB to spare; the work arrays need about 3 n^2 doubles (96 MB).
+        limit = vm * 1024 + 2 ** 24
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        try:
+            transport._kernel.solve_pair(mu, mu, dist)
+        except MemoryError:
+            print(transport.BACKEND, "MemoryError")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("CORICCI_PURE_PYTHON", None)
+    if pure_python:
+        env["CORICCI_PURE_PYTHON"] = "1"
+    built = importlib.util.find_spec("coricci.transport._mcf_cy") is not None
+    backend = "c" if built and not pure_python else "python"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.stdout.strip() == f"{backend} MemoryError", proc.stderr
+
+
+@pytest.mark.parametrize("name", ["LIPSCHITZ_ATOL", "GAP_RTOL"])
+def test_w1_failure_messages(cube4, monkeypatch, name):
+    """A failed certificate names the dual's witness pair, or the gap with
+    its primal and dual values, on either kernel."""
+    space = cube4.space
+    mu = Distribution(cube4.row((0, 0, 0, 0)))
+    nu = Distribution(cube4.row((1, 1, 0, 0)))
+    _entries, cost, union, f, obj = _mcf_py.pair_plan(mu.weights, nu.weights, space.dist)
+    if name == "LIPSCHITZ_ATOL":
+        slack = np.abs(f[:, None] - f[None, :]) - space.dist[np.ix_(union, union)]
+        a, b = np.unravel_index(np.argmax(slack), slack.shape)
+        expected = f"dual potential not 1-Lipschitz at pair ({union[a]}, {union[b]})"
+    else:
+        expected = (f"primal-dual gap {abs(obj - cost)!r} exceeds tolerance "
+                    f"(primal {cost!r}, dual {obj!r})")
+    monkeypatch.setattr(transport, name, -1.0)
+    for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        with pytest.raises(Infeasible) as err:
+            w1(mu, nu, space)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_are_rejected(two_point_mixing, bad):
+    space = two_point_mixing.space
+    with pytest.raises(ValueError, match=f"non-finite weight {bad!r} at index 0"):
+        w1(Distribution([bad, bad]), Distribution([1.0, 0.0]), space)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        contraction_check(two_point_mixing, Distribution([0.5, 0.5]),
+                          Distribution([bad, 0.0]), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
