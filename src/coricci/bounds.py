@@ -13,13 +13,16 @@ from scipy.linalg import eigvals, null_space
 # max_var_lipschitz is not called here (invariant_max_var computes maxVar of
 # nu), but perfbench/tracing.py wraps it under this module's name.
 from .chain import (  # noqa: F401
+    EXACT_SUPPORT_CAP,
     Chain,
     averaging,
     invariant_distribution,
     invariant_max_var,
+    invariant_max_var_upper,
     lipschitz_constant,
     local_stats,
     max_var_lipschitz,
+    row_moments,
 )
 from .curvature import kappa_global
 from .errors import (
@@ -144,8 +147,7 @@ def bonnet_myers(chain: Chain, report=None):
     kappa = report.global_kappa
     _require_positive_kappa(kappa)
     space = chain.space
-    stats = _all_local_stats(chain)
-    J = np.array([s.J for s in stats])
+    J, _sigma2, _sigma_inf = row_moments(chain)
 
     per_pair = []
     for p in report.pairs:
@@ -166,9 +168,9 @@ def bonnet_myers(chain: Chain, report=None):
     return diam_bound, diam_actual, per_pair, avg_bounds
 
 
-def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
-    """Prop. 31: 1-Lipschitz variance under nu is at most
-    sigma^2 / (n kappa (2 - kappa)) with n = inf_x n_x."""
+def _variance_rhs(chain: Chain, kappa: float, n_x_mode="exact") -> float:
+    """The right-hand side sigma^2 / (n kappa (2 - kappa)) of Prop. 31, with
+    sigma^2 the nu-average of sigma(x)^2 and n = inf_x n_x."""
     _require_positive_kappa(kappa)
     nu, _rev, _unique = invariant_distribution(chain)
     stats = _all_local_stats(chain, n_x_mode)
@@ -178,8 +180,19 @@ def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
         raise DegenerateSupport(
             "every kernel row is a Dirac mass, so n = inf n_x is undefined")
     n_inf = min(finite_n)
-    bound = sigma2 / (n_inf * kappa * (2.0 - kappa))
-    mode = "exact" if len(nu.support()) <= 12 else "heuristic"
+    return sigma2 / (n_inf * kappa * (2.0 - kappa))
+
+
+def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
+    """Prop. 31: 1-Lipschitz variance under nu is at most
+    sigma^2 / (n kappa (2 - kappa)) with n = inf_x n_x.
+
+    Returns (bound, maxVar(nu), StatDim).  maxVar(nu) is exact up to
+    EXACT_SUPPORT_CAP support points and a heuristic lower bound beyond;
+    InequalityFails is raised when it exceeds the bound."""
+    bound = _variance_rhs(chain, kappa, n_x_mode)
+    nu, _rev, _unique = invariant_distribution(chain)
+    mode = "exact" if len(nu.support()) <= EXACT_SUPPORT_CAP else "heuristic"
     extremal_var = invariant_max_var(chain, mode)
     # StatDim(X, d, nu): the spread of nu over its maximal Lipschitz variance.
     w = nu.weights
@@ -190,6 +203,19 @@ def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
             f"sigma^2 / (n kappa (2 - kappa)) = {bound!r}"
         )
     return bound, extremal_var, statdim
+
+
+def variance_holds(chain: Chain, kappa: float) -> bool:
+    """Prop. 31 decided as verify reports it: True when the certified upper
+    bound on maxVar(nu) (chain.invariant_max_var_upper) is within CHECK_ATOL
+    of the bound, which needs no search over Lipschitz functions.
+    Otherwise the check falls back to variance_bound, which computes
+    maxVar(nu) and raises InequalityFails when it exceeds the bound."""
+    bound = _variance_rhs(chain, kappa)
+    if invariant_max_var_upper(chain) <= bound + CHECK_ATOL:
+        return True
+    bound, extremal_var, _statdim = variance_bound(chain, kappa)
+    return extremal_var <= bound + CHECK_ATOL
 
 
 def gaussian_concentration(chain: Chain, f, kappa: float, n_grid: int = 50) -> ConcentrationReport:
@@ -273,7 +299,7 @@ def range_gradient(space, f, lam: float) -> np.ndarray:
 
 def admissible_lambda(chain: Chain, U: float) -> float:
     """The Prop.-43 / Thm.-40 threshold 1/(24 sigma_inf (1 + U))."""
-    sigma_inf = max(s.sigma_inf for s in _all_local_stats(chain))
+    sigma_inf = float(row_moments(chain)[2].max())
     return 1.0 / (24.0 * sigma_inf * (1.0 + U))
 
 
@@ -358,9 +384,9 @@ def exponential_concentration(chain: Chain, o, r: float, s: float | None = None)
     ok, witness = is_epsilon_geodesic(space, r)
     if not ok:
         raise NotRGeodesic(f"space is not {r}-geodesic; witness pair {witness}")
-    stats = _all_local_stats(chain)
+    J, _sigma2, sigma_inf = row_moments(chain)
     if s is None:
-        s = 2.0 * max(st.sigma_inf for st in stats)
+        s = 2.0 * float(sigma_inf.max())
     i_o = space.index(o)
     d_o = space.dist[:, i_o]
     dense = chain.dense()
@@ -377,7 +403,7 @@ def exponential_concentration(chain: Chain, o, r: float, s: float | None = None)
         raise NonPositiveRho(
             f"annulus pull rho = {rho!r} <= 0: no attracting point at {o!r}"
         )
-    J_o = stats[i_o].J
+    J_o = float(J[i_o])
     D = s ** 2 / rho
     m = r + 2.0 * s ** 2 / rho + rho * (1.0 + J_o ** 2 / (4.0 * s ** 2))
     nu, _rev, _unique = invariant_distribution(chain)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import eigvalsh, null_space
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -24,6 +24,7 @@ ROW_ATOL = 1e-10
 DETAILED_BALANCE_ATOL = 1e-10
 UNIQUE_RANK_TOL = 1e-9
 EXACT_SUPPORT_CAP = 12
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,10 @@ class Chain:
     reports can present kappa/dt and sigma^2/dt as rate quantities.
 
     The kernel never changes after construction.  Quantities derived from
-    it (the dense matrix, the invariant distribution, local statistics and
-    the maximal Lipschitz variance of nu) are filled in lazily, once per
-    chain, and live as long as the chain does.  The chain is safe to share
+    it (the dense matrix, the invariant distribution, the row moments, the
+    maxVar of each distinct row problem, local statistics, and the maximal
+    Lipschitz variance of nu and its upper bound) are filled in lazily, once
+    per chain, and live as long as the chain does.  The chain is safe to share
     across threads: two threads that fill the same entry at once only
     repeat the work and store equal values.
     """
@@ -280,9 +282,13 @@ def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
 
     Exact mode enumerates the vertices of the Lipschitz polytope restricted
     to the support (the maximum of a convex function over a polytope is
-    attained at a vertex); capped at support size 12.  Heuristic mode runs
-    multi-start projected gradient ascent and certifies only a lower bound.
-    Returns (value, f over all points of the space, certificate).
+    attained at a vertex); capped at EXACT_SUPPORT_CAP support points.
+    Heuristic mode runs projected gradient ascent from the distance
+    functions d(., y), their negatives and random starts, scores each
+    tightened start and its polished end point, and certifies only a lower
+    bound.  The value depends on the measure's weights and distances on its
+    support alone.  Returns (value, f over all points of the space,
+    certificate).
     """
     w = measure.weights
     supp = np.nonzero(w > 0)[0]
@@ -344,14 +350,17 @@ def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
         best_val, best_f = -1.0, None
         for f0 in seeds:
             f = _tighten_lipschitz(dist, np.asarray(f0, dtype=np.float64))
+            # The ascent can end below its start, so the seed is a candidate too.
+            candidates = [f]
             for _ in range(60):
                 m = p @ f
                 grad = 2.0 * p * (f - m)
                 f = _tighten_lipschitz(dist, f + 0.5 * scale * grad)
-            f = polish(f)
-            v = var(f)
-            if v > best_val:
-                best_val, best_f = v, f
+            candidates.append(polish(f))
+            for f in candidates:
+                v = var(f)
+                if v > best_val:
+                    best_val, best_f = v, f
         certificate = "lower-bound"
 
     full = np.zeros(space.n)
@@ -359,24 +368,52 @@ def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
     return best_val, full, certificate
 
 
+def row_moments(chain: Chain):
+    """Jump J(x), spread sigma(x)^2 and granularity sigma_inf(x) of every
+    row (Def. 18), as three arrays indexed by point, computed once per chain.
+    None of them needs the local dimension n_x."""
+    return chain._cached("row_moments", lambda: _row_moments(chain))
+
+
+def _row_moments(chain: Chain):
+    d = chain.space.dist
+    d2 = d ** 2
+    J, sigma2, sigma_inf = np.zeros((3, chain.n))
+    for i, row in enumerate(chain.dense()):
+        J[i] = float(row @ d[i])
+        sigma2[i] = 0.5 * float(row @ d2 @ row)
+        supp = np.nonzero(row > 0)[0]
+        if len(supp) > 1:
+            sigma_inf[i] = 0.5 * float(d[np.ix_(supp, supp)].max())
+    return J, sigma2, sigma_inf
+
+
 def local_stats(chain: Chain, x, n_x_mode="exact") -> LocalStats:
     """Jump, spread, granularity and local dimension at x (Def. 18),
-    computed once per chain, point and n_x mode."""
+    computed once per chain, point and n_x mode.  The maxVar behind n_x is
+    computed once per chain and mode for each distinct row problem: rows
+    whose weights and distances on their supports are equal bytes, in
+    support order, share it.  Rows equal only up to an isometry do not,
+    because solving a permuted copy can change the last digits of n_x."""
     i = chain.space.index(x)
     return chain._cached(("local_stats", i, n_x_mode),
                          lambda: _local_stats(chain, i, n_x_mode))
 
 
 def _local_stats(chain: Chain, i: int, n_x_mode) -> LocalStats:
+    J, sigma2, sigma_inf = (float(v[i]) for v in row_moments(chain))
     row = chain.dense()[i]
-    d = chain.space.dist
-    J = float(row @ d[i])
-    sigma2 = 0.5 * float(row @ d ** 2 @ row)
     supp = np.nonzero(row > 0)[0]
-    sigma_inf = 0.5 * float(d[np.ix_(supp, supp)].max()) if len(supp) > 1 else 0.0
     if len(supp) < 2:
         return LocalStats(J, sigma2, sigma_inf, None, "undefined")
-    max_var, _f, cert = max_var_lipschitz(chain.space, Distribution(row), n_x_mode)
+    dist = chain.space.dist[np.ix_(supp, supp)]
+    key = ("row_max_var", n_x_mode, row[supp].tobytes(), dist.tobytes())
+
+    def solve():
+        value, _f, cert = max_var_lipschitz(chain.space, Distribution(row), n_x_mode)
+        return value, cert
+
+    max_var, cert = chain._cached(key, solve)
     # In heuristic mode max_var is a lower bound, so n_x is an upper bound.
     n_x = sigma2 / max_var
     return LocalStats(J, sigma2, sigma_inf, n_x,
@@ -389,3 +426,59 @@ def invariant_max_var(chain: Chain, mode="exact") -> float:
     nu, _rev, _unique = invariant_distribution(chain)
     return chain._cached(("max_var_nu", mode),
                          lambda: max_var_lipschitz(chain.space, nu, mode)[0])
+
+
+def invariant_max_var_upper(chain: Chain) -> float:
+    """A certified upper bound on maxVar(nu), the sup of Var_nu f over
+    1-Lipschitz f for the invariant distribution nu, found without searching
+    over f and computed once per chain.  It is min(A, B).
+
+    A = 1/2 sum_{x,y} nu(x) nu(y) d(x,y)^2 holds for any nu, because
+    Var_nu f = 1/2 sum_{x,y} nu(x) nu(y) (f(x) - f(y))^2.
+
+    B = (E_max + r diam^2) / gap is the Poincare inequality
+    Var_nu f <= E(f,f) / gap, which holds for any kernel P that leaves nu
+    invariant, reversible or not.  Here E(f,f) = 1/2 sum_x nu(x) sum_y
+    P(x,y) (f(x) - f(y))^2 is at most E_max = 1/2 sum_x nu(x) sum_y P(x,y)
+    d(x,y)^2, and gap = 1 - lambda_2, with lambda_2 the largest eigenvalue of
+    the symmetrised kernel 1/2 (S + S^T), S = D^1/2 P D^-1/2 and D = diag nu,
+    on the orthogonal complement of sqrt(nu).  Two margins keep B on the
+    safe side:
+    - the computed nu is invariant only up to its residual
+      r = ||nu P - nu||_1 (plus 2 n eps for the rounding of nu P), which
+      moves E(f,f) by at most r diam^2 for a nu-centred 1-Lipschitz f;
+    - lambda_2 is raised by 16 n eps ||1/2 (S + S^T)||_inf, which covers
+      the rounding of the projected matrix and the eigensolver's error.
+    B is used only when nu > 0 everywhere and the gap stays positive after
+    the margins.  The result is raised by 64 n eps relative, for the
+    rounding of the sums behind A and E_max.
+    """
+    return chain._cached("max_var_nu_upper", lambda: _max_var_upper(chain))
+
+
+def _max_var_upper(chain: Chain) -> float:
+    nu, _rev, _unique = invariant_distribution(chain)
+    w = nu.weights
+    d2 = chain.space.dist ** 2
+    upper = min(0.5 * float(w @ d2 @ w), _poincare_max_var(chain, w, d2))
+    return float(upper * (1.0 + 64 * chain.n * EPS))
+
+
+def _poincare_max_var(chain: Chain, w: np.ndarray, d2: np.ndarray) -> float:
+    """B of invariant_max_var_upper, or inf where it does not apply."""
+    n = chain.n
+    if n < 2 or not np.all(w > 0):
+        return np.inf
+    P = chain.dense()
+    e_max = 0.5 * float(w @ (P * d2).sum(axis=1))
+    resid = float(np.abs(w @ P - w).sum()) + 2 * n * EPS
+    root = np.sqrt(w)
+    S = root[:, None] * P / root[None, :]
+    sym = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(sym)):
+        return np.inf
+    V = null_space(root[None, :])
+    lam2 = float(eigvalsh(V.T @ sym @ V)[-1])
+    lam2 += 16 * n * EPS * float(np.abs(sym).sum(axis=1).max())
+    gap = 1.0 - lam2
+    return (e_max + resid * float(d2.max())) / gap if gap > 0 else np.inf

@@ -4,11 +4,12 @@
  * solve_transport has the contract of coricci.transport._mcf_py and the same
  * arithmetic in the same order: every reduced cost and distance is summed as
  * there, and the plan is listed in row-major order, as np.nonzero lists it.
- * The supply total is a sequential sum.  Each Dijkstra step pops its node
- * from a binary heap ordered by (distance, node index): the node of smallest
- * distance, the lowest index on ties, which is the node _mcf_py's linear scan
- * picks, so both kernels give the same plans and duals.  The heap lives in the
- * caller's work block, so the kernel keeps no state between calls.
+ * The supply total is summed in numpy's pairwise order, as a.sum() sums it
+ * there.  Each Dijkstra step pops its node from a binary heap ordered by
+ * (distance, node index): the node of smallest distance, the lowest index on
+ * ties, which is the node _mcf_py's linear scan picks, so both kernels give
+ * the same plans and duals.  The heap lives in the caller's work block, so
+ * the kernel keeps no state between calls.
  *
  * solve_pair(mu, nu, dist) certifies W1 between two probability vectors in
  * one call, as transport.w1 needs it: common mass stays in place, the rest is
@@ -91,6 +92,37 @@ static npy_intp heap_pop(Heap *h, const double *dist)
     return top;
 }
 
+/* numpy's summation order for a contiguous float64 array (pairwise, eight
+ * accumulators per block of at most 128), so that the demand rescaling
+ * matches transport.w1, which sums with np.sum, and the supply total of
+ * solve() matches _mcf_py's a.sum(). */
+static double pairwise_sum(const double *a, npy_intp n)
+{
+    npy_intp i, k, n2;
+    double r[8], res;
+
+    if (n < 8) {
+        res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
 /* Returns 0 on success, -1 when no sink is reachable (infeasible).  heap
  * and slot hold ns + nt entries each. */
 static int solve(const double *C, double *a, double *b, npy_intp ns,
@@ -98,11 +130,10 @@ static int solve(const double *C, double *a, double *b, npy_intp ns,
                  npy_intp *parent, char *done, npy_intp *heap, npy_intp *slot)
 {
     npy_intp nv = ns + nt, i, j, u, v, target, root;
-    double total = 0.0, remaining, dt, rc, nd, eps, stop;
+    double total, remaining, dt, rc, nd, eps, stop;
     Heap h = {heap, slot, 0};
 
-    for (i = 0; i < ns; i++)
-        total += a[i];
+    total = pairwise_sum(a, ns);
     remaining = total;
     stop = MASS_EPS * (total > 1.0 ? total : 1.0);
     while (remaining > stop) {
@@ -282,36 +313,6 @@ finish:
     Py_XDECREF(supply);
     Py_XDECREF(demand);
     return out;
-}
-
-/* numpy's summation order for a contiguous float64 array (pairwise, eight
- * accumulators per block of at most 128), so that the demand rescaling
- * matches transport.w1, which sums with np.sum. */
-static double pairwise_sum(const double *a, npy_intp n)
-{
-    npy_intp i, k, n2;
-    double r[8], res;
-
-    if (n < 8) {
-        res = -0.0;
-        for (i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        for (k = 0; k < 8; k++)
-            r[k] = a[k];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
 /* Work arrays for one pair, sized for rows of n points.  After certify_pair

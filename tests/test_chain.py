@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coricci as c
 from coricci.chain import (
     averaging,
     build_chain,
     invariant_distribution,
+    invariant_max_var,
+    invariant_max_var_upper,
     lipschitz_constant,
     local_stats,
     max_var_lipschitz,
     n_step,
+    row_moments,
 )
 from coricci.errors import DegenerateSupport, RowNotStochastic, UnknownPoint
-from coricci.gallery import cube
+from coricci.gallery import binomial, cube
 from coricci.metric import space_from_edges, space_from_matrix
 from coricci.transport import Distribution
 
@@ -230,6 +235,99 @@ def test_heuristic_n_x_is_an_upper_bound(cube4, binom20):
             assert exact.certificate == "exact"
             assert heur.certificate == "upper-bound"
             assert heur.n_x >= exact.n_x - 1e-9
+
+
+def test_heuristic_keeps_its_best_seed():
+    """Every distance function d(., y) is 1-Lipschitz and seeds the
+    heuristic, so its maxVar is at least their variances.  On binomial 20
+    (p = 1/2) the ascent from d(., 0) used to end at 3.07, below the seed's
+    own 5.0, and that lower value was returned."""
+    chain = binomial(20, 0.5)
+    nu, _rev, _unique = invariant_distribution(chain)
+    value, f, cert = max_var_lipschitz(chain.space, nu, "heuristic")
+    assert cert == "lower-bound"
+    assert lipschitz_constant(chain.space, f) <= 1.0 + 1e-12
+    assert value == pytest.approx(nu.variance(f), abs=1e-12)
+    seeds = max(nu.variance(chain.space.dist[:, y]) for y in range(chain.n))
+    assert value >= seeds
+    assert value == pytest.approx(5.0, abs=1e-12)
+
+
+def test_row_max_var_shared_by_equal_rows_only(monkeypatch):
+    """local_stats solves each distinct row problem once per chain and mode,
+    and its n_x is the bit-exact n_x of a direct solve of the row."""
+    calls = []
+    solve = c.chain.max_var_lipschitz
+
+    def counted(space, measure, mode="exact"):
+        calls.append(mode)
+        return solve(space, measure, mode)
+
+    monkeypatch.setattr(c.chain, "max_var_lipschitz", counted)
+    chain = cube(5)
+    stats = [local_stats(chain, p) for p in chain.space.points]
+    assert len(calls) == 6  # 32 rows, 6 distinct (weights, distances) byte strings
+    J, sigma2, sigma_inf = row_moments(chain)
+    for i, (p, s) in enumerate(zip(chain.space.points, stats)):
+        row = chain.row(p)
+        direct = 0.5 * float(row @ chain.space.dist ** 2 @ row) / solve(
+            chain.space, Distribution(row), "exact")[0]
+        assert s.n_x == direct
+        assert (s.J, s.sigma2, s.sigma_inf) == (J[i], sigma2[i], sigma_inf[i])
+    assert [local_stats(chain, p) for p in chain.space.points] == stats
+    assert len(calls) == 6
+
+
+def _small_space(draw, rng, n):
+    if draw(st.booleans(), label="euclidean"):
+        pts = rng.normal(size=(n, int(draw(st.integers(1, 3), label="dim"))))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+        return space_from_matrix(range(n), dist)
+    # A connected graph with integer weights: a random spanning tree plus
+    # random chords.
+    edges = [(i, int(rng.integers(0, i)), int(rng.integers(1, 4))) for i in range(1, n)]
+    edges += [(i, j, int(rng.integers(1, 4))) for i in range(n) for j in range(i)
+              if rng.random() < 0.3]
+    return space_from_edges(range(n), edges)
+
+
+@st.composite
+def small_chains(draw):
+    n = draw(st.integers(2, 8), label="states")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    space = _small_space(draw, rng, n)
+    weights = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    if draw(st.booleans(), label="reversible"):
+        # Symmetric conductances: reversible for nu proportional to the row sums.
+        weights = weights + weights.T
+    weights += np.diag(rng.random(n) * draw(st.sampled_from([0.0, 1.0]), label="lazy"))
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return build_chain(space, weights / weights.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=small_chains())
+def test_max_var_upper_bound_is_certified(chain):
+    """The upper bound on maxVar(nu) that decides Prop. 31 is never below the
+    exact maxVar(nu), reversible chain or not."""
+    nu, _rev, _unique = invariant_distribution(chain)
+    upper = invariant_max_var_upper(chain)
+    w = nu.weights
+    assert upper <= 0.5 * float(w @ chain.space.dist ** 2 @ w) * (1 + 1e-12)
+    if len(nu.support()) < 2:
+        assert upper == 0.0
+        return
+    assert upper >= invariant_max_var(chain, "exact")
+
+
+def test_max_var_upper_bound_is_sharp_on_the_cube():
+    """On the lazy walk on the N-cube the Poincare bound gives N/4, the
+    variance of the sum of the coordinates, below 1/2 E d(X, Y)^2."""
+    for N in (3, 4):
+        chain = cube(N)
+        w = invariant_distribution(chain)[0].weights
+        assert invariant_max_var_upper(chain) == pytest.approx(N / 4, rel=1e-12)
+        assert N / 4 < 0.5 * float(w @ chain.space.dist ** 2 @ w)
 
 
 def test_lazy_srw_maxvar_at_most_half(cube4):

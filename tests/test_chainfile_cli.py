@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import coricci.bounds
 import coricci.chain
 import coricci.cli
+import coricci.metric
 from coricci import chainfile, gallery
 from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
@@ -313,25 +314,36 @@ def test_failed_inequality_is_exit_1(runner, tmp_path, monkeypatch):
     assert "check failed: Prop. 29" in res.output
 
 
-def test_verify_and_report_compute_each_quantity_once(runner, tmp_path, monkeypatch):
-    """One maxVar per distinct (measure, mode) and one invariant
-    distribution per chain, however many checks read them."""
-    path = _gen(runner, tmp_path, "cube", "--n", "4")
-    max_var_calls = Counter()
-    nu_solves = []
+def _count_max_var(monkeypatch):
+    """Count max_var_lipschitz calls per (measure, mode) wherever coricci
+    looks the function up."""
+    calls = Counter()
     max_var = coricci.chain.max_var_lipschitz
-    solve_invariant = coricci.chain._solve_invariant
 
     def counted_max_var(space, measure, mode="exact"):
-        max_var_calls[measure.weights.tobytes(), mode] += 1
+        calls[measure.weights.tobytes(), mode] += 1
         return max_var(space, measure, mode)
+
+    for module in (coricci.chain, coricci.bounds):
+        monkeypatch.setattr(module, "max_var_lipschitz", counted_max_var)
+    return calls
+
+
+def test_verify_and_report_compute_each_quantity_once(runner, tmp_path, monkeypatch):
+    """One maxVar per distinct row problem and one invariant distribution
+    per chain, however many checks read them; on cube 4 the certified upper
+    bound decides Prop. 31, so maxVar(nu) is not computed at all."""
+    path = _gen(runner, tmp_path, "cube", "--n", "4")
+    nu_bytes = coricci.chain.invariant_distribution(
+        load_chain(path))[0].weights.tobytes()
+    max_var_calls = _count_max_var(monkeypatch)
+    nu_solves = []
+    solve_invariant = coricci.chain._solve_invariant
 
     def counted_solve(chain):
         nu_solves.append(chain)
         return solve_invariant(chain)
 
-    for module in (coricci.chain, coricci.bounds):
-        monkeypatch.setattr(module, "max_var_lipschitz", counted_max_var)
     monkeypatch.setattr(coricci.chain, "_solve_invariant", counted_solve)
     for argv in (["verify", path, "--all", "--geodesic", "1"],
                  ["report", path, "--geodesic", "1"]):
@@ -339,10 +351,59 @@ def test_verify_and_report_compute_each_quantity_once(runner, tmp_path, monkeypa
         nu_solves.clear()
         res = runner.invoke(main, argv)
         assert res.exit_code == 0, res.output
-        # the 16 rows (exact) and nu (heuristic: 16 support points > 12)
-        assert len(max_var_calls) == 17
+        # 16 rows, 5 distinct (weights, distances) byte strings on their supports
+        assert len(max_var_calls) == 5
         assert set(max_var_calls.values()) == {1}
+        assert {mode for _w, mode in max_var_calls} == {"exact"}
+        assert not any(w == nu_bytes for w, _mode in max_var_calls)
         assert len(nu_solves) == 1
+
+
+@pytest.mark.parametrize("preset", [("cube", "--n", "4"),
+                                    ("binomial", "--n", "7", "--p", "0.5")],
+                         ids=["cube4", "binomial7"])
+def test_variance_check_without_the_upper_bound(runner, tmp_path, monkeypatch, preset):
+    """When the upper bound on maxVar(nu) cannot decide Prop. 31, verify and
+    report compute maxVar(nu) once, as variance_bound does, and print the
+    same bytes."""
+    path = _gen(runner, tmp_path, *preset)
+    argvs = (["verify", path, "--all", "--geodesic", "1"],
+             ["report", path, "--geodesic", "1"],
+             ["report", path, "--geodesic", "1", "--format", "csv"])
+    decided = [runner.invoke(main, argv) for argv in argvs]
+    nu = coricci.chain.invariant_distribution(load_chain(path))[0]
+    max_var_calls = _count_max_var(monkeypatch)
+    monkeypatch.setattr(coricci.bounds, "invariant_max_var_upper",
+                        lambda chain: float("inf"))
+    for argv, first in zip(argvs, decided):
+        max_var_calls.clear()
+        res = runner.invoke(main, argv)
+        assert (res.exit_code, res.output) == (first.exit_code, first.output)
+        assert res.exit_code == 0, res.output
+        assert sum(n for (w, _mode), n in max_var_calls.items()
+                   if w == nu.weights.tobytes()) == 1
+
+
+def test_row_moment_checks_beyond_the_exact_cap(runner, tmp_path):
+    """The lazy walk on K_14 has rows of 14 points, more than exact maxVar
+    takes, yet Bonnet-Myers, the admissible lambda and Thm. 44 need no n_x."""
+    n = 14
+    space = coricci.metric.space_from_matrix(range(n), 1.0 - np.eye(n))
+    chain = coricci.chain.build_chain(
+        space, 0.5 * np.eye(n) + 0.5 * (1.0 - np.eye(n)) / (n - 1))
+    diam_bound, diam_actual, _pairs, avg = coricci.bounds.bonnet_myers(chain)
+    kappa = 0.5 + 0.5 / (n - 1)  # 1 - W1 between two rows
+    assert diam_bound == pytest.approx(2 * 0.5 / kappa, rel=1e-12)
+    assert diam_actual <= diam_bound
+    assert all(lhs <= rhs + 1e-12 for _p, lhs, rhs in avg)  # equal: 13/14
+    assert coricci.bounds.admissible_lambda(chain, 0.0) == pytest.approx(1 / 12)
+    path = str(tmp_path / "k14.json")
+    save_chain(chain, path)
+    res = runner.invoke(main, ["expconc", path, "--origin", "0", "--radius", "1"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["holds"] and doc["lemma45_holds"]
+    assert doc["rho"] == pytest.approx(1 / 26, rel=1e-12)
 
 
 def test_pure_python_kernel_gives_the_same_bytes(runner, tmp_path):
