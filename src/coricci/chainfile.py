@@ -71,7 +71,7 @@ def parse_chain(doc: dict) -> Chain:
         raise ChainFileError("field 'metric': expected an object with 'type'")
     try:
         if metric["type"] == "matrix":
-            rows = [[float(v) for v in row] for row in metric["payload"]]
+            rows = [list(map(float, row)) for row in metric["payload"]]
             space = space_from_matrix(points, rows)
         elif metric["type"] == "graph":
             edges = [(u, v, float(w)) for u, v, w in metric["payload"]]

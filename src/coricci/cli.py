@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import click
 import numpy as np
@@ -30,8 +33,10 @@ def _echo(message, err=False):
 
 
 def _fmt(x):
+    """The JSON value of a numpy scalar or array.  Floats keep every bit:
+    json writes a float as its repr, which reads back to the same double."""
     if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.17g}")
+        return float(x)
     if isinstance(x, np.bool_):
         return bool(x)
     if isinstance(x, np.integer):
@@ -45,10 +50,80 @@ def _fmt_str(x):
     return f"{float(x):.17g}"
 
 
+# A scalar as json.dumps(..., default=_fmt) spells it, with or without an
+# indent, and the types of the scalars.
+_json_value = json.JSONEncoder(default=_fmt).encode
+_SCALAR_TYPES = (str, int, float, type(None), np.floating, np.integer, np.bool_)
+# Below this many rows, finding the distinct floats of a column (np.unique,
+# about 20 us) costs more than spelling every value.
+_DISTINCT_MIN_ROWS = 64
+
+
+def _json_column(values, types):
+    """The JSON spellings of one column of row values, whose value types are
+    types.  A column of floats is spelled with float.__repr__ when all are
+    finite; a long one spells each distinct double once, keyed on its bits
+    (so 0.0 and -0.0 stay apart).  A column of strings goes through the json
+    string escape in one pass.  Any other column is spelled value by value."""
+    if all(issubclass(t, float) for t in types):
+        distinct, inverse = values, None
+        if len(values) >= _DISTINCT_MIN_ROWS:
+            bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64),
+                                      return_inverse=True)
+            distinct = bits.view(np.float64).tolist()
+        spell = float.__repr__ if all(map(math.isfinite, distinct)) else _json_value
+        if inverse is None:
+            return map(spell, distinct)
+        return map(list(map(spell, distinct)).__getitem__, inverse.tolist())
+    if all(issubclass(t, str) for t in types):
+        return map(encode_basestring_ascii, values)
+    return map(_json_value, values)
+
+
+def _json_rows(rows, level):
+    """A list of flat rows that share their keys, as json.dumps(indent=1,
+    default=_fmt) writes it at nesting depth level: the rows are formatted
+    column by column and filled into one row template.  None for any other
+    value."""
+    if not isinstance(rows, (list, tuple)) or not rows or set(map(type, rows)) != {dict}:
+        return None
+    key_lists = set(map(tuple, rows))
+    keys = key_lists.pop()
+    if key_lists or not keys or not all(type(k) is str for k in keys):
+        return None
+    columns = [list(map(itemgetter(k), rows)) for k in keys]
+    types = [set(map(type, column)) for column in columns]
+    if not all(issubclass(t, _SCALAR_TYPES) for ts in types for t in ts):
+        return None
+    pad = "\n" + " " * (level + 1)
+    # Braces in a key are doubled so that str.format keeps them.
+    fields = ",".join(pad + " " + encode_basestring_ascii(k).replace("{", "{{")
+                      .replace("}", "}}") + ": {}" for k in keys)
+    template = pad + "{{" + fields + pad + "}}"
+    values = map(_json_column, columns, types)
+    return f"[{','.join(map(template.format, *values))}\n{' ' * level}]"
+
+
+def _json(obj, level=0):
+    """json.dumps(obj, indent=1, default=_fmt) for obj at nesting depth
+    level, with every list of flat rows written by _json_rows."""
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        pad = "\n" + " " * (level + 1)
+        items = (f"{pad}{encode_basestring_ascii(k)}: {_json(v, level + 1)}"
+                 for k, v in obj.items())
+        return f"{{{','.join(items)}\n{' ' * level}}}"
+    if isinstance(obj, _SCALAR_TYPES):
+        return _json_value(obj)
+    text = _json_rows(obj, level)
+    if text is None:
+        text = json.dumps(obj, indent=1, default=_fmt).replace("\n", "\n" + " " * level)
+    return text
+
+
 def _emit(doc, rows, fmt):
     """Print a report: nested JSON or flat CSV rows with a fixed schema."""
     if fmt == "json":
-        _echo(json.dumps(doc, indent=1, default=_fmt))
+        _echo(_json(doc))
     else:
         if not rows:
             return

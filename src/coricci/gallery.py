@@ -22,7 +22,7 @@ from .errors import (
 from .metric import FiniteMetricSpace, space_from_matrix
 
 TAIL_TOL = 1e-6
-PRODUCT_CAP = 1 << 16
+PRODUCT_CAP = 1 << 12  # states; the dense metric and kernel take 128 MiB each
 GLAUBER_SITE_CAP = 16
 
 PRESETS = (
@@ -402,7 +402,12 @@ def superpose(chains, alphas) -> Chain:
 
 def tensorize(chains, alphas) -> Chain:
     """Product chain: at each step pick factor i with probability alpha_i
-    and move that coordinate only; product space carries the L1 metric."""
+    and move that coordinate only; product space carries the L1 metric.
+
+    States are listed as itertools.product lists them, the last factor
+    fastest.  An L1 sum of metrics is a metric, so it is not validated
+    again.  Raises ProductTooLarge, before allocating anything, above
+    PRODUCT_CAP states."""
     alphas = np.asarray(alphas, dtype=np.float64)
     if len(chains) != len(alphas) or np.any(alphas < 0) or abs(alphas.sum() - 1) > 1e-12:
         raise BadWeights("weights must be nonnegative and sum to 1")
@@ -412,22 +417,19 @@ def tensorize(chains, alphas) -> Chain:
     total = math.prod(sizes)
     if total > PRODUCT_CAP:
         raise ProductTooLarge(f"product state count {total} exceeds cap {PRODUCT_CAP}")
-    points = list(product(*(c.space.points for c in chains)))
-    index = {p: i for i, p in enumerate(points)}
+    points = tuple(product(*(c.space.points for c in chains)))
     dist = np.zeros((total, total))
-    for s, t in ((s, t) for s in range(total) for t in range(total)):
-        dist[s, t] = sum(
-            c.space.dist[c.space.index(points[s][i]), c.space.index(points[t][i])]
-            for i, c in enumerate(chains)
-        )
-    space = space_from_matrix(points, dist)
     P = np.zeros((total, total))
-    denses = [c.dense() for c in chains]
-    for s, p in enumerate(points):
-        for i, c in enumerate(chains):
-            row = denses[i][c.space.index(p[i])]
-            for j, mass in zip(np.nonzero(row > 0)[0], row[row > 0]):
-                q = list(p)
-                q[i] = c.space.points[j]
-                P[s, index[tuple(q)]] += alphas[i] * mass
-    return build_chain(space, P)
+    stride = total
+    # coords[i][s]: the index, in factor i, of state s's i-th coordinate.
+    coords = np.unravel_index(np.arange(total), sizes)
+    for c, x, alpha in zip(chains, coords, alphas):
+        stride //= c.n
+        # Factor by factor from 0.0, as a sum over the factors adds them.
+        dist += c.space.dist[np.ix_(x, x)]
+        # Moving coordinate i from x[s] to j takes state s to s + (j - x[s])
+        # * stride; the targets of one factor are distinct.
+        rows = c.dense()[x]
+        s, j = np.nonzero(rows > 0)
+        P[s, s + (j - x[s]) * stride] += alpha * rows[s, j]
+    return build_chain(FiniteMetricSpace(points, dist), P)

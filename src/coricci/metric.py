@@ -1,4 +1,8 @@
-"""Finite metric spaces: validation, shortest-path metrics, geodesic tests."""
+"""Finite metric spaces: validation, shortest-path metrics, geodesic tests.
+
+The O(n^3) triangle check of a distance table runs in the transport kernel
+(coricci.transport._kernel, compiled or pure Python), as triangle_violation.
+"""
 
 from __future__ import annotations
 
@@ -66,18 +70,18 @@ def _validate_metric(dist: np.ndarray, atol: float = METRIC_ATOL) -> None:
         if np.any(off <= 0):
             i, j = np.unravel_index(np.argmin(off), dist.shape)
             raise MetricViolation(f"zero distance between distinct points ({i}, {j})")
-    # Triangle inequality, one intermediate point at a time to bound memory,
-    # in one buffer: slack = d(i, j) - (d(i, k) + d(k, j)).
-    slack = np.empty_like(dist)
-    for k in range(n):
-        np.add.outer(dist[:, k], dist[k, :], out=slack)
-        np.subtract(dist, slack, out=slack)
-        if slack.max() > atol:
-            i, j = np.unravel_index(np.argmax(slack), slack.shape)
-            raise MetricViolation(
-                f"triangle inequality fails for ({i}, {j}) via {k}: "
-                f"d={dist[i, j]} > {dist[i, k] + dist[k, j]}"
-            )
+    # Triangle inequality, in the selected transport kernel: the first
+    # intermediate point that fails, and the worst pair through it.  The
+    # transport package imports this module, so the kernel is imported here.
+    from .transport import _kernel
+
+    witness = _kernel.triangle_violation(dist, atol)
+    if witness is not None:
+        k, i, j = witness
+        raise MetricViolation(
+            f"triangle inequality fails for ({i}, {j}) via {k}: "
+            f"d={dist[i, j]} > {dist[i, k] + dist[k, j]}"
+        )
 
 
 def space_from_matrix(points, matrix) -> FiniteMetricSpace:

@@ -10,7 +10,8 @@ index); the reduction of each plan to a forest; the
 c-transform dual with its Lipschitz slack and primal-dual gap; and, for the
 scan, the integrals over each plan) is a C extension with a pure-Python
 fallback of identical arithmetic; selection happens at import time and can
-be forced with CORICCI_PURE_PYTHON=1.
+be forced with CORICCI_PURE_PYTHON=1.  The selected kernel, _kernel, also
+holds the triangle check that coricci.metric runs on every distance table.
 """
 
 from __future__ import annotations

@@ -24,6 +24,11 @@
  * summation order for the demand rescaling, is that of _mcf_py.solve_pair
  * and _mcf_py.solve_pairs, so both kernels give the same bits.
  *
+ * triangle_violation(dist, atol) is the triangle check that coricci.metric
+ * runs on every distance table: the first intermediate point through which
+ * the inequality fails by more than atol, and the worst pair through it, as
+ * the numpy loop of _mcf_py.triangle_violation finds them.
+ *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
  * name _mcf_cy because perfbench/run.py builds and checks this exact file.
@@ -123,8 +128,8 @@ static double pairwise_sum(const double *a, npy_intp n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* Returns 0 on success, -1 when no sink is reachable (infeasible).  heap
- * and slot hold ns + nt entries each. */
+/* Returns 0 on success, -1 when a sink with demand left is unreachable
+ * (infeasible).  heap and slot hold ns + nt entries each. */
 static int solve(const double *C, double *a, double *b, npy_intp ns,
                  npy_intp nt, double *flow, double *pot, double *dist,
                  npy_intp *parent, char *done, npy_intp *heap, npy_intp *slot)
@@ -188,8 +193,15 @@ static int solve(const double *C, double *a, double *b, npy_intp ns,
                 }
             }
         }
-        if (target < 0)
-            return -1;
+        if (target < 0) {
+            /* No sink with demand left is reachable.  When every sink is
+             * served, the supply left is the rounding that the augmentations
+             * collected, and the plan is complete. */
+            for (j = 0; j < nt; j++)
+                if (b[j] > MASS_EPS)
+                    return -1;
+            return 0;
+        }
         dt = dist[target];
         for (v = 0; v < nv; v++)
             pot[v] += dist[v] < dt ? dist[v] : dt;
@@ -754,6 +766,109 @@ finish:
     return out;
 }
 
+/* Two doubles, and the lane masks that comparing two of them gives. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef long long v2m __attribute__((vector_size(16)));
+
+#define TRIANGLE_BLOCK 4 /* intermediate points tested per pass over d */
+
+/* Whether d[i,j] - (d[i,k] + d[k,j]) > atol for some (i, j) and some k in
+ * k0 .. k0 + nk - 1, with nk <= TRIANGLE_BLOCK: one pass over the rows of d,
+ * two columns at a time, tests the nk points. */
+static inline int triangle_fails(const double *d, npy_intp n, double atol,
+                                 npy_intp k0, npy_intp nk)
+{
+    npy_intp i, j, q;
+    const v2d lim = {atol, atol};
+    v2m bad[TRIANGLE_BLOCK] = {{0}}, any = {0, 0};
+
+    for (i = 0; i < n; i++) {
+        const double *di = d + i * n;
+        v2d dik[TRIANGLE_BLOCK], dij, dkj;
+
+        for (q = 0; q < nk; q++)
+            dik[q] = (v2d){di[k0 + q], di[k0 + q]};
+        for (j = 0; j + 1 < n; j += 2) {
+            memcpy(&dij, di + j, sizeof dij);
+            for (q = 0; q < nk; q++) {
+                memcpy(&dkj, d + (k0 + q) * n + j, sizeof dkj);
+                bad[q] |= dij - (dik[q] + dkj) > lim;
+            }
+        }
+        for (q = 0; q < nk && j < n; q++)
+            if (di[j] - (di[k0 + q] + d[(k0 + q) * n + j]) > atol)
+                bad[q][0] = -1;
+    }
+    for (q = 0; q < nk; q++)
+        any |= bad[q];
+    return (any[0] | any[1]) != 0;
+}
+
+/* The triangle check of _mcf_py.triangle_violation on the (n x n) table d:
+ * the first k with d[i,j] - (d[i,k] + d[k,j]) > atol for some (i, j), and the
+ * first (i, j) in row-major order where that slack is largest at that k, as
+ * np.argmax finds it, in w = (k, i, j).  Returns 1 when some k fails, else
+ * 0.  Points are tested TRIANGLE_BLOCK at a time; a block that fails is
+ * tested again point by point, and the first point that fails is scanned
+ * for its witness. */
+static int triangle_witness(const double *d, npy_intp n, double atol,
+                            npy_intp *w)
+{
+    npy_intp i, j, k, nk;
+    double s, worst;
+
+    for (k = 0; k < n; k += nk) {
+        nk = n - k < TRIANGLE_BLOCK ? 1 : TRIANGLE_BLOCK;
+        if (!triangle_fails(d, n, atol, k, nk))
+            continue;
+        while (!triangle_fails(d, n, atol, k, 1))
+            k++;
+        worst = -INFINITY;
+        w[1] = w[2] = 0;
+        for (i = 0; i < n; i++)
+            for (j = 0; j < n; j++) {
+                s = d[i * n + j] - (d[i * n + k] + d[k * n + j]);
+                if (s > worst) {
+                    worst = s;
+                    w[1] = i;
+                    w[2] = j;
+                }
+            }
+        w[0] = k;
+        return 1;
+    }
+    return 0;
+}
+
+static PyObject *triangle_violation(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *dist_in;
+    PyArrayObject *dist;
+    double atol;
+    npy_intp n, w[3];
+    int found;
+
+    if (!PyArg_ParseTuple(args, "Od:triangle_violation", &dist_in, &atol))
+        return NULL;
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2,
+                                            NPY_ARRAY_IN_ARRAY);
+    if (!dist)
+        return NULL;
+    n = PyArray_DIM(dist, 0);
+    if (PyArray_DIM(dist, 1) != n) {
+        PyErr_Format(PyExc_ValueError, "distance table is %zd x %zd, not square",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(dist, 1));
+        Py_DECREF(dist);
+        return NULL;
+    }
+    found = triangle_witness(PyArray_DATA(dist), n, atol, w);
+    Py_DECREF(dist);
+    if (!found)
+        Py_RETURN_NONE;
+    return Py_BuildValue("(nnn)", (Py_ssize_t)w[0], (Py_ssize_t)w[1],
+                         (Py_ssize_t)w[2]);
+}
+
 static PyMethodDef methods[] = {
     {"solve_transport", solve_transport, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_transport."},
@@ -761,13 +876,15 @@ static PyMethodDef methods[] = {
      "See coricci.transport._mcf_py.solve_pair."},
     {"solve_pairs", solve_pairs, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_pairs."},
+    {"triangle_violation", triangle_violation, METH_VARARGS,
+     "See coricci.transport._mcf_py.triangle_violation."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
-    "Compiled transport kernel: dense transportation, single certified pairs "
-    "and batched pair scans.",
+    "Compiled transport kernel: dense transportation, single certified pairs, "
+    "batched pair scans and the triangle check of distance tables.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -1,6 +1,7 @@
 """Pure-Python transport kernel: successive shortest paths for dense
-transportation, the reduction of a plan to a forest, and the single-pair
-solve and batched pair scan built on both.
+transportation, the reduction of a plan to a forest, the single-pair solve
+and batched pair scan built on both, and the triangle check that
+coricci.metric runs on every distance table.
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The kernel interface: what the C extension exports, function for function.
+__all__ = ["solve_transport", "solve_pair", "solve_pairs", "triangle_violation"]
+
 _MASS_EPS = 1e-15
 MASS_ATOL = 1e-12  # mass at or below this is dropped from plans and marginals
 
@@ -26,8 +30,11 @@ def solve_transport(cost, supply, demand):
 
     Returns (src_idx, tgt_idx, mass, u, v): flow triples plus dual
     potentials with u[i] + v[j] <= cost[i, j] and equality on flow edges.
-    Deterministic: Dijkstra ties break on lowest node index.
-    Raises ValueError when supply or demand does not fit the cost matrix.
+    Deterministic: Dijkstra ties break on lowest node index.  Stops when the
+    supply left falls to 1e-15 * max(1, total), or when every sink's demand
+    left is at most 1e-15.
+    Raises ValueError when supply or demand does not fit the cost matrix, and
+    RuntimeError when a sink with demand left cannot be reached.
     """
     cost = np.asarray(cost, dtype=np.float64)
     a = np.array(supply, dtype=np.float64)
@@ -82,7 +89,12 @@ def solve_transport(cost, supply, demand):
                         dist[i] = nd[i]
                         parent[i] = u
         if target < 0:
-            raise RuntimeError("transportation problem infeasible")
+            # No sink with demand left is reachable.  When every sink is
+            # served, the supply left is the rounding that the augmentations
+            # collected, and the plan is complete.
+            if np.any(b > _MASS_EPS):
+                raise RuntimeError("transportation problem infeasible")
+            break
         dt = dist[target]
         for v in range(nv):
             pot[v] += min(dist[v], dt)
@@ -302,3 +314,27 @@ def solve_pairs(P, dist, I, J):
         out[:, k] = (cost, *plan_parts(entries, dist, dist[x, y]),
                      *_certificate(dist, union, f, cost, obj))
     return tuple(out)
+
+
+def triangle_violation(dist, atol):
+    """The first point k through which the triangle inequality fails by more
+    than atol, d(i, j) - (d(i, k) + d(k, j)) > atol for some (i, j), as
+    (k, i, j), where (i, j) is the first pair in row-major order at which
+    that slack is largest; None when there is no such k.
+
+    dist: a finite (n, n) float array.  One intermediate point at a time, in
+    one buffer, to bound memory.
+    Raises ValueError when dist is not square.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.ndim != 2 or dist.shape[1] != n:
+        raise ValueError(f"distance table is {n} x {dist.shape[-1]}, not square")
+    slack = np.empty_like(dist)
+    for k in range(n):
+        np.add.outer(dist[:, k], dist[k, :], out=slack)
+        np.subtract(dist, slack, out=slack)
+        if slack.max() > atol:
+            i, j = np.unravel_index(np.argmax(slack), slack.shape)
+            return k, int(i), int(j)
+    return None

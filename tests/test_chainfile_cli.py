@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coricci.bounds
 import coricci.chain
@@ -431,6 +434,59 @@ def test_pure_python_kernel_gives_the_same_bytes(runner, tmp_path):
         assert backend == "python"
         assert pure_out == default_out
         assert json.loads(pure_out)["pairs"]
+
+
+# Strings with characters that JSON escapes or str.format reads, and any.
+_text = st.text(st.sampled_from('a{}"\\/\n\x00\xe9\u2603\U0001f600'), max_size=3) | st.text()
+# One JSON value of a report row: Python and numpy scalars, with NaN,
+# infinities, -0.0, and escaped and non-ASCII strings among them.
+_row_value = st.one_of(
+    st.floats(), _text, st.integers(), st.booleans(), st.none(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+_column_values = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(),
+    st.sampled_from([0.0, -0.0, 0.1, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64), _text, st.booleans(), st.integers(), _row_value,
+])
+
+
+@st.composite
+def _row_lists(draw):
+    """Flat rows that share their keys; each column is all finite floats,
+    all floats, all strings, all of another type or of mixed types."""
+    keys = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(0, 5))
+    columns = [draw(st.lists(draw(_column_values), min_size=count, max_size=count))
+               for _key in keys]
+    return [dict(zip(keys, values)) for values in zip(*columns)]
+
+
+_doc_value = st.one_of(
+    _row_value, _row_lists(),
+    st.lists(_row_value, max_size=3),
+    st.lists(st.dictionaries(_text, _row_value, max_size=2), max_size=3),
+    st.dictionaries(_text, _row_value, max_size=2),
+    st.dictionaries(st.integers(), _row_value, max_size=2),
+    st.fixed_dictionaries({"rows": _row_lists(), "x": _row_value}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(_text, _doc_value, max_size=4))
+@example(doc={"pairs": [{"k": 0.0, "s": "{}"}, {"k": -0.0, "s": "\u00e9"},
+                        {"k": math.nan, "s": "\n"}]})
+def test_report_writer_matches_json_dumps(doc):
+    """The row-template writer gives the bytes of json.dumps(indent=1,
+    default=_fmt), on lists of flat rows and on everything it hands back to
+    json.dumps, also when every float column is spelled through its distinct
+    values, as long columns are."""
+    expected = json.dumps(doc, indent=1, default=coricci.cli._fmt)
+    assert coricci.cli._json(doc) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coricci.cli, "_DISTINCT_MIN_ROWS", 0)
+        assert coricci.cli._json(doc) == expected
 
 
 def test_in_process_run_does_not_keep_its_output_stream(runner, tmp_path):

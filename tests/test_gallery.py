@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -186,6 +188,62 @@ def test_tensorize_guards(two_point_mixing):
     big = gallery.cube(5)
     with pytest.raises(ProductTooLarge):
         gallery.tensorize([big] * 4, [0.25] * 4)
+
+
+def _tensorize_by_loops(chains, alphas):
+    """The product metric and kernel, entry by entry: the reference that
+    gallery.tensorize must match bit for bit."""
+    points = list(product(*(ch.space.points for ch in chains)))
+    index = {p: i for i, p in enumerate(points)}
+    total = len(points)
+    dist = np.zeros((total, total))
+    for s, t in ((s, t) for s in range(total) for t in range(total)):
+        dist[s, t] = sum(
+            ch.space.dist[ch.space.index(points[s][i]), ch.space.index(points[t][i])]
+            for i, ch in enumerate(chains)
+        )
+    P = np.zeros((total, total))
+    for s, p in enumerate(points):
+        for i, ch in enumerate(chains):
+            row = ch.dense()[ch.space.index(p[i])]
+            for j, mass in zip(np.nonzero(row > 0)[0], row[row > 0]):
+                q = list(p)
+                q[i] = ch.space.points[j]
+                P[s, index[tuple(q)]] += alphas[i] * mass
+    return points, dist, P
+
+
+@pytest.mark.parametrize("factors", ["cube4", "mixed"])
+def test_tensorize_is_bit_equal_to_the_loops(two_point_mixing, factors):
+    if factors == "cube4":
+        chains, alphas = [two_point_mixing] * 4, np.full(4, 0.25)
+    else:
+        # Decimal distances, so that the order of the factor sums shows.
+        space = space_from_matrix("abc", [[0, 0.1, 0.7], [0.1, 0, 0.65], [0.7, 0.65, 0]])
+        walk = build_chain(space, [[0.5, 0.3, 0.2], [0.1, 0.9, 0.0], [0.0, 0.4, 0.6]])
+        chains = [gallery.binomial(3, 0.3), walk, gallery.glauber("path:2", 0.4)]
+        alphas = np.array([0.5, 0.2, 0.3])
+    points, dist, P = _tensorize_by_loops(chains, alphas)
+    product_chain = gallery.tensorize(chains, alphas)
+    assert product_chain.space.points == tuple(points)
+    assert product_chain.space.dist.tobytes() == dist.tobytes()
+    assert product_chain.dense().tobytes() == P.tobytes()
+
+
+def test_tensorize_cap_is_checked_before_allocating():
+    """One state over PRODUCT_CAP raises ProductTooLarge before the product
+    metric or kernel is allocated."""
+    assert gallery.PRODUCT_CAP == 4096
+    small, large = gallery.binomial(16, 0.5), gallery.binomial(240, 0.5)
+    assert small.n * large.n == gallery.PRODUCT_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProductTooLarge, match="4097 exceeds cap 4096"):
+            gallery.tensorize([small, large], [0.5, 0.5])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_superposition_curvature_additive(two_point_mixing):

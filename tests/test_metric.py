@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
+from coricci import transport
 from coricci.errors import DisconnectedGraph, MetricViolation
 from coricci.metric import (
+    METRIC_ATOL,
     build_space,
     is_epsilon_geodesic,
     space_from_edges,
     space_from_matrix,
 )
+from coricci.transport import _mcf_py
+
+# The pure-Python kernel, then the selected one (the C kernel when built).
+KERNELS = (_mcf_py, transport._kernel)
 
 
 def test_path_graph_shortest_path():
@@ -15,17 +24,22 @@ def test_path_graph_shortest_path():
     assert space.d(0, 2) == 2.0
 
 
-def test_triangle_violation_rejected():
-    with pytest.raises(MetricViolation):
-        build_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+def test_triangle_violation_rejected(monkeypatch):
+    for kernel in KERNELS:
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        with pytest.raises(MetricViolation):
+            build_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
-def test_triangle_violation_names_first_witness():
-    """The first intermediate point that fails, and the worst pair through it."""
+def test_triangle_violation_names_first_witness(monkeypatch):
+    """The first intermediate point that fails, and the worst pair through
+    it, on either kernel."""
     dist = [[0, 1, 5, 7], [1, 0, 1, 2], [5, 1, 0, 1], [7, 2, 1, 0]]
-    with pytest.raises(MetricViolation,
-                       match=r"fails for \(0, 3\) via 1: d=7.0 > 3.0"):
-        build_space(dist)
+    for kernel in KERNELS:
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        with pytest.raises(MetricViolation,
+                           match=r"fails for \(0, 3\) via 1: d=7.0 > 3.0"):
+            build_space(dist)
 
 
 def test_asymmetry_rejected():
@@ -118,3 +132,47 @@ def test_matrix_roundtrip_bit_exact():
 def test_build_space_edge_list_with_labels():
     space = build_space([("a", "b", 1.0), ("b", "c", 2.0)])
     assert space.d("a", "c") == 3.0
+
+
+def _metric_or_violation(dist):
+    try:
+        space_from_matrix(range(len(dist)), dist)
+    except MetricViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+    graph=st.booleans(),
+    bump=st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 1e9]),
+)
+def test_triangle_check_is_the_same_on_both_kernels(n, seed, graph, bump):
+    """The compiled triangle check finds the same first failing point k and
+    the same witness pair as the numpy loop of _mcf_py, and space_from_matrix
+    raises the same MetricViolation through either, also where one entry is
+    raised just above or below METRIC_ATOL past a tight triangle.  Integer
+    shortest-path metrics have many tight triangles and tied worst pairs."""
+    compiled = pytest.importorskip("coricci.transport._mcf_cy")
+    rng = np.random.default_rng(seed)
+    if graph:
+        weights = np.triu(rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        weights[np.arange(n - 1), np.arange(1, n)] = 1  # a spanning path
+        dist = shortest_path(weights + weights.T, method="D", directed=False)
+    else:
+        pts = rng.random((n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        dist[i, j] = dist[j, i] = dist[i, j] + bump * METRIC_ATOL
+    witness = _mcf_py.triangle_violation(dist, METRIC_ATOL)
+    assert compiled.triangle_violation(dist, METRIC_ATOL) == witness
+    messages = []
+    for selected in (_mcf_py, compiled):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "_kernel", selected)
+            messages.append(_metric_or_violation(dist))
+    assert messages[0] == messages[1]
+    assert (witness is None) == (messages[0] is None)

@@ -255,9 +255,61 @@ def test_kernels_agree_where_the_supply_total_rounds():
         assert np.array_equal(x_py, x_c)
 
 
+def test_backends_export_the_same_functions():
+    """The compiled kernel exports exactly the functions of _mcf_py's kernel
+    interface, so a function added to one backend alone fails here, not
+    only under CORICCI_PURE_PYTHON=1 or without a compiler."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    compiled = {name for name in dir(_mcf_cy) if not name.startswith("_")}
+    assert compiled == set(_mcf_py.__all__)
+    for name in _mcf_py.__all__:
+        assert callable(getattr(_mcf_cy, name)) and callable(getattr(_mcf_py, name))
+
+
+def _unit_mass_problems(numbers):
+    """Problems of a seeded set of 3,000 unit-mass transportation problems,
+    20 to 128 points a side, with uniform costs, supplies and demands."""
+    rng = np.random.default_rng(2024)
+    problems = {}
+    for k in range(max(numbers) + 1):
+        ns, nt = rng.integers(20, 129, size=2)
+        cost, a, b = rng.random((ns, nt)), rng.random(ns), rng.random(nt)
+        a /= a.sum()
+        b *= a.sum() / b.sum()
+        if k in numbers:
+            problems[k] = cost, a, b
+    return problems
+
+
+def test_kernels_finish_when_every_sink_is_served():
+    """Both kernels stop when the supply left falls to 1e-15 of the total,
+    but it collects one rounding per augmentation.  On these four problems
+    every sink was served while more than that was left, and both kernels
+    called them infeasible; now they return the plan, the same on both."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    for cost, a, b in _unit_mass_problems({1794, 1977, 2177, 2747}).values():
+        out_py = _mcf_py.solve_transport(cost, a, b)
+        out_c = _mcf_cy.solve_transport(cost, a, b)
+        for x_py, x_c in zip(out_py, out_c):
+            assert x_py.dtype == x_c.dtype
+            assert np.array_equal(x_py, x_c)
+        src, tgt, mass, u, v = out_c
+        assert np.abs(np.bincount(src, mass, len(a)) - a).max() <= 1e-15
+        assert np.abs(np.bincount(tgt, mass, len(b)) - b).max() <= 1e-15
+        assert (u[:, None] + v[None, :] - cost).max() <= 1e-12
+        assert np.abs(u[src] + v[tgt] - cost[src, tgt]).max() <= 1e-12
+    # Supply left over sources that each hold at most 1e-15, with a sink not
+    # served, is still infeasible.
+    for kernel in (_mcf_py, _mcf_cy):
+        with pytest.raises(RuntimeError, match="infeasible"):
+            kernel.solve_transport(np.ones((2, 1)), [1e-15, 1e-15], [2e-15])
+
+
 def test_kernels_reject_mismatched_sizes():
     cost = np.ones((3, 3))
     for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
+            kernel.triangle_violation(cost[:2], 1e-12)
         with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
             kernel.solve_transport(cost, np.full(2, 0.5), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
