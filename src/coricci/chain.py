@@ -10,6 +10,7 @@ from scipy.linalg import eigvalsh, null_space
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from . import transport
 from .errors import (
     DegenerateSupport,
     NegativeProbability,
@@ -232,64 +233,24 @@ def _tighten_lipschitz(dist: np.ndarray, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _lipschitz_vertices(dist: np.ndarray):
-    """All vertex functions of {f : |f(a)-f(b)| <= d(a,b), f(0) = 0}.
-
-    At a vertex, the graph of tight constraints f(b) - f(a) = +-d(a,b) spans
-    the points.  Grow assignments one tight edge at a time from f(0) = 0,
-    in every feasible order, memoizing on the set of assigned values.
-    """
-    n = dist.shape[0]
-    start = ((0, 0.0),)
-    seen = {start}
-    stack = [dict(start)]
-    vertices = []
-    while stack:
-        assign = stack.pop()
-        if len(assign) == n:
-            vertices.append(assign)
-            continue
-        for a, fa in assign.items():
-            for b in range(n):
-                if b in assign:
-                    continue
-                for fb in (fa + dist[a, b], fa - dist[a, b]):
-                    ok = all(
-                        abs(fb - fc) <= dist[b, c] + 1e-12
-                        for c, fc in assign.items()
-                    )
-                    if not ok:
-                        continue
-                    new = dict(assign)
-                    new[b] = fb
-                    key = tuple(sorted(new.items()))
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(new)
-    out = []
-    dedup = set()
-    for assign in vertices:
-        f = np.array([assign[i] for i in range(n)])
-        key = tuple(np.round(f, 12))
-        if key not in dedup:
-            dedup.add(key)
-            out.append(f)
-    return out
-
-
 def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
     """sup of Var_mu f over 1-Lipschitz f.
 
-    Exact mode enumerates the vertices of the Lipschitz polytope restricted
-    to the support (the maximum of a convex function over a polytope is
-    attained at a vertex); capped at EXACT_SUPPORT_CAP support points.
+    Exact mode scores every vertex of the Lipschitz polytope restricted to
+    the support (the maximum of a convex function over a polytope is
+    attained at a vertex).  The selected transport kernel, transport._kernel,
+    enumerates the vertices, the same ones in the same order in either
+    kernel; the pure-Python kernel takes about 20 to 90 times as long on 5
+    to 10 support points.  Capped at EXACT_SUPPORT_CAP support points.
     Heuristic mode runs projected gradient ascent from the distance
     functions d(., y), their negatives and random starts, scores each
     tightened start and its polished end point, and certifies only a lower
     bound.  The value depends on the measure's weights and distances on its
     support alone.  Returns (value, f over all points of the space,
-    certificate).
+    certificate).  Raises ValueError for any other mode.
     """
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"mode must be 'exact' or 'heuristic', not {mode!r}")
     w = measure.weights
     supp = np.nonzero(w > 0)[0]
     if len(supp) < 2:
@@ -307,7 +268,7 @@ def max_var_lipschitz(space: FiniteMetricSpace, measure, mode="exact"):
                 f"support size {len(supp)} exceeds exact-mode cap {EXACT_SUPPORT_CAP}"
             )
         best_val, best_f = -1.0, None
-        for f in _lipschitz_vertices(dist):
+        for f in transport._kernel.lipschitz_vertices(dist):
             v = var(f)
             if v > best_val:
                 best_val, best_f = v, f

@@ -11,7 +11,10 @@ c-transform dual with its Lipschitz slack and primal-dual gap; and, for the
 scan, the integrals over each plan) is a C extension with a pure-Python
 fallback of identical arithmetic; selection happens at import time and can
 be forced with CORICCI_PURE_PYTHON=1.  The selected kernel, _kernel, also
-holds the triangle check that coricci.metric runs on every distance table.
+holds the triangle check that coricci.metric runs on every distance table,
+and lipschitz_vertices, which enumerates the vertices of the 1-Lipschitz
+polytope for the exact maxVar of coricci.chain, the same vertices in the
+same order in both kernels.
 """
 
 from __future__ import annotations

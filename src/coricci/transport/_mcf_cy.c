@@ -29,6 +29,12 @@
  * the inequality fails by more than atol, and the worst pair through it, as
  * the numpy loop of _mcf_py.triangle_violation finds them.
  *
+ * lipschitz_vertices(dist) enumerates the vertices of the 1-Lipschitz
+ * polytope {f : |f(a) - f(b)| <= d(a,b), f(0) = 0} for the exact maxVar of
+ * coricci.chain.  It grows partial assignments from a stack and a hash set,
+ * in the order of _mcf_py.lipschitz_vertices, and returns the same vertices,
+ * bit for bit, in the same order.
+ *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
  * name _mcf_cy because perfbench/run.py builds and checks this exact file.
@@ -38,6 +44,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <numpy/arrayobject.h>
@@ -869,6 +876,278 @@ static PyObject *triangle_violation(PyObject *Py_UNUSED(self), PyObject *args)
                          (Py_ssize_t)w[2]);
 }
 
+/* Vertices of the 1-Lipschitz polytope {f : |f(a) - f(b)| <= d(a,b),
+ * f(0) = 0}, enumerated as _mcf_py.lipschitz_vertices enumerates them. */
+
+#define VERTEX_MAX_POINTS 63 /* assigned points are kept in a 64-bit mask */
+#define LIPSCHITZ_EPS 1e-12
+
+static inline uint64_t splitmix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/* Partial assignments on n points, stored once each: mask[k] holds the
+ * points that assignment k assigns, val[k * n + i] its value at point i, and
+ * order[k * n ..] its points in the order they were assigned.  A hash set
+ * (open addressing over slot[], -1 when empty) finds an assignment by its
+ * points and their values, compared with ==, so that -0.0 and +0.0 are
+ * equal, as in the tuple keys of the Python kernel. */
+typedef struct {
+    npy_intp n, size, cap, nslot;
+    uint64_t *mask, *hash;
+    double *val;
+    unsigned char *order;
+    npy_intp *slot;
+} Assignments;
+
+static uint64_t assignment_hash(uint64_t mask, const double *val)
+{
+    uint64_t h = splitmix64(mask), m, bits;
+    double v;
+
+    for (m = mask; m; m &= m - 1) {
+        v = val[__builtin_ctzll(m)];
+        v = v == 0.0 ? 0.0 : v;
+        memcpy(&bits, &v, sizeof bits);
+        h = splitmix64(h ^ bits);
+    }
+    return h;
+}
+
+static int grow(void *p, npy_intp count, size_t size)
+{
+    void *q = realloc(*(void **)p, (size_t)count * size);
+
+    if (!q)
+        return 0;
+    *(void **)p = q;
+    return 1;
+}
+
+/* Makes room for extra more assignments, with the hash set at most half
+ * full.  Returns 0 when memory runs out. */
+static int assignments_reserve(Assignments *s, npy_intp extra)
+{
+    npy_intp need = s->size + extra, cap = s->cap, nslot = s->nslot, k, j;
+
+    if (need > cap) {
+        while (cap < need)
+            cap = cap ? 2 * cap : 64;
+        if (cap > NPY_MAX_INTP / 8 / (s->n + 1) ||
+            !grow(&s->mask, cap, sizeof *s->mask) ||
+            !grow(&s->hash, cap, sizeof *s->hash) ||
+            !grow(&s->val, cap * s->n, sizeof *s->val) ||
+            !grow(&s->order, cap * s->n, sizeof *s->order))
+            return 0;
+        s->cap = cap;
+    }
+    if (2 * need > nslot) {
+        while (nslot < 2 * need)
+            nslot = nslot ? 2 * nslot : 128;
+        if (!grow(&s->slot, nslot, sizeof *s->slot))
+            return 0;
+        s->nslot = nslot;
+        for (j = 0; j < nslot; j++)
+            s->slot[j] = -1;
+        for (k = 0; k < s->size; k++) {
+            for (j = s->hash[k] & (nslot - 1); s->slot[j] >= 0;
+                 j = (j + 1) & (nslot - 1))
+                ;
+            s->slot[j] = k;
+        }
+    }
+    return 1;
+}
+
+/* Adds the assignment written at index size, unless an equal one is stored.
+ * Returns whether it was added. */
+static int assignments_add(Assignments *s)
+{
+    npy_intp k = s->size, n = s->n, j, e;
+    uint64_t mask = s->mask[k], m;
+    const double *v = s->val + k * n;
+    uint64_t h = assignment_hash(mask, v);
+
+    for (j = h & (s->nslot - 1); (e = s->slot[j]) >= 0;
+         j = (j + 1) & (s->nslot - 1)) {
+        if (s->hash[e] != h || s->mask[e] != mask)
+            continue;
+        for (m = mask; m; m &= m - 1)
+            if (s->val[e * n + __builtin_ctzll(m)] != v[__builtin_ctzll(m)])
+                break;
+        if (!m)
+            return 0;
+    }
+    s->slot[j] = k;
+    s->hash[k] = h;
+    s->size++;
+    return 1;
+}
+
+static void assignments_free(Assignments *s)
+{
+    free(s->mask);
+    free(s->hash);
+    free(s->val);
+    free(s->order);
+    free(s->slot);
+}
+
+/* Grows assignments from f(0) = 0 one tight edge at a time, last in, first
+ * out: a parent's points in the order they were assigned, then each new
+ * point b ascending, f(a) + d before f(a) - d, each kept when it is within
+ * d + 1e-12 of every assigned value and not seen before.  The full
+ * assignments, in the order they leave the stack, go to s's indices full[];
+ * their number is returned, or -1 when memory runs out.  n >= 1. */
+static npy_intp grow_vertices(const double *d, Assignments *s, npy_intp **full)
+{
+    npy_intp n = s->n, top = 0, nfull = 0, cap = 0, p, c, j, t, k, a, b;
+    npy_intp *stack = NULL, *out = NULL;
+    uint64_t all = (1ULL << n) - 1;
+    const double *pv;
+    const unsigned char *po;
+    double fa, fb, dab;
+    int sign, ok;
+
+    if (!assignments_reserve(s, 1))
+        goto nomem;
+    s->mask[0] = 1;
+    memset(s->val, 0, n * sizeof *s->val);
+    s->order[0] = 0;
+    assignments_add(s);
+    if (!grow(&stack, s->cap, sizeof *stack) ||
+        !grow(&out, s->cap, sizeof *out))
+        goto nomem;
+    cap = s->cap;
+    stack[top++] = 0;
+    while (top) {
+        p = stack[--top];
+        if (s->mask[p] == all) {
+            out[nfull++] = p;
+            continue;
+        }
+        c = __builtin_popcountll(s->mask[p]);
+        if (!assignments_reserve(s, 2 * c * (n - c)))
+            goto nomem;
+        if (cap < s->cap) {
+            cap = s->cap;
+            if (!grow(&stack, cap, sizeof *stack) ||
+                !grow(&out, cap, sizeof *out))
+                goto nomem;
+        }
+        pv = s->val + p * n;
+        po = s->order + p * n;
+        for (j = 0; j < c; j++) {
+            a = po[j];
+            fa = pv[a];
+            for (b = 0; b < n; b++) {
+                if (s->mask[p] >> b & 1)
+                    continue;
+                dab = d[a * n + b];
+                for (sign = 0; sign < 2; sign++) {
+                    fb = sign ? fa - dab : fa + dab;
+                    for (ok = 1, t = 0; ok && t < c; t++)
+                        ok = fabs(fb - pv[po[t]]) <= d[b * n + po[t]] + LIPSCHITZ_EPS;
+                    if (!ok)
+                        continue;
+                    k = s->size;
+                    s->mask[k] = s->mask[p] | 1ULL << b;
+                    memcpy(s->val + k * n, pv, n * sizeof *pv);
+                    s->val[k * n + b] = fb;
+                    memcpy(s->order + k * n, po, c);
+                    s->order[k * n + c] = (unsigned char)b;
+                    if (assignments_add(s))
+                        stack[top++] = k;
+                }
+            }
+        }
+    }
+    free(stack);
+    *full = out;
+    return nfull;
+nomem:
+    free(stack);
+    free(out);
+    return -1;
+}
+
+/* The rows of the full assignments full[0 .. m-1] of s, as an (m', n) array,
+ * keeping a row only when no earlier row is equal to it after rounding to 12
+ * decimals the way np.round(f, 12) rounds, rint(x * 1e12) / 1e12. */
+static PyObject *distinct_rows(const Assignments *s, const npy_intp *full,
+                               npy_intp m)
+{
+    Assignments r = {0};
+    npy_intp n = s->n, dims[2] = {0, n}, i, k;
+    npy_intp *keep = malloc((m + 1) * sizeof *keep);
+    double *rounded;
+    PyObject *out = NULL;
+
+    r.n = n;
+    if (!keep || !assignments_reserve(&r, m)) {
+        PyErr_NoMemory();
+        goto finish;
+    }
+    for (k = 0; k < m; k++) {
+        r.mask[r.size] = s->mask[full[k]];
+        rounded = r.val + r.size * n;
+        for (i = 0; i < n; i++)
+            rounded[i] = rint(s->val[full[k] * n + i] * 1e12) / 1e12;
+        if (assignments_add(&r))
+            keep[dims[0]++] = full[k];
+    }
+    if (!(out = PyArray_SimpleNew(2, dims, NPY_DOUBLE)))
+        goto finish;
+    for (k = 0; k < dims[0]; k++)
+        memcpy((double *)PyArray_DATA((PyArrayObject *)out) + k * n,
+               s->val + keep[k] * n, n * sizeof(double));
+finish:
+    free(keep);
+    assignments_free(&r);
+    return out;
+}
+
+static PyObject *lipschitz_vertices(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *dist_in, *out = NULL;
+    PyArrayObject *dist;
+    Assignments s = {0};
+    npy_intp n, m, *full = NULL, empty[2] = {0, 0};
+
+    if (!PyArg_ParseTuple(args, "O:lipschitz_vertices", &dist_in))
+        return NULL;
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2,
+                                            NPY_ARRAY_IN_ARRAY);
+    if (!dist)
+        return NULL;
+    n = PyArray_DIM(dist, 0);
+    if (PyArray_DIM(dist, 1) != n)
+        PyErr_Format(PyExc_ValueError, "distance table is %zd x %zd, not square",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(dist, 1));
+    else if (n > VERTEX_MAX_POINTS)
+        PyErr_Format(PyExc_ValueError,
+                     "lipschitz_vertices takes at most %d points, not %zd",
+                     VERTEX_MAX_POINTS, (Py_ssize_t)n);
+    else if (n == 0)
+        out = PyArray_SimpleNew(2, empty, NPY_DOUBLE);
+    else {
+        s.n = n;
+        m = grow_vertices(PyArray_DATA(dist), &s, &full);
+        if (m < 0)
+            PyErr_NoMemory();
+        else
+            out = distinct_rows(&s, full, m);
+    }
+    free(full);
+    assignments_free(&s);
+    Py_DECREF(dist);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"solve_transport", solve_transport, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_transport."},
@@ -878,13 +1157,16 @@ static PyMethodDef methods[] = {
      "See coricci.transport._mcf_py.solve_pairs."},
     {"triangle_violation", triangle_violation, METH_VARARGS,
      "See coricci.transport._mcf_py.triangle_violation."},
+    {"lipschitz_vertices", lipschitz_vertices, METH_VARARGS,
+     "See coricci.transport._mcf_py.lipschitz_vertices."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
     "Compiled transport kernel: dense transportation, single certified pairs, "
-    "batched pair scans and the triangle check of distance tables.",
+    "batched pair scans, the triangle check of distance tables and the "
+    "vertices of the 1-Lipschitz polytope behind exact maxVar.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -1,7 +1,8 @@
 """Pure-Python transport kernel: successive shortest paths for dense
 transportation, the reduction of a plan to a forest, the single-pair solve
-and batched pair scan built on both, and the triangle check that
-coricci.metric runs on every distance table.
+and batched pair scan built on both, the triangle check that
+coricci.metric runs on every distance table, and the enumeration of the
+vertices of the 1-Lipschitz polytope behind coricci.chain's exact maxVar.
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
@@ -16,10 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 # The kernel interface: what the C extension exports, function for function.
-__all__ = ["solve_transport", "solve_pair", "solve_pairs", "triangle_violation"]
+__all__ = [
+    "solve_transport", "solve_pair", "solve_pairs", "triangle_violation",
+    "lipschitz_vertices",
+]
 
 _MASS_EPS = 1e-15
 MASS_ATOL = 1e-12  # mass at or below this is dropped from plans and marginals
+MAX_VERTEX_POINTS = 63  # the C kernel keeps the assigned points in a 64-bit mask
 
 
 def solve_transport(cost, supply, demand):
@@ -338,3 +343,61 @@ def triangle_violation(dist, atol):
             i, j = np.unravel_index(np.argmax(slack), slack.shape)
             return k, int(i), int(j)
     return None
+
+
+def lipschitz_vertices(dist):
+    """All vertex functions of {f : |f(a)-f(b)| <= d(a,b), f(0) = 0}, as the
+    rows of one (m, n) float array.
+
+    At a vertex, the graph of tight constraints f(b) - f(a) = +-d(a,b) spans
+    the points.  Grow assignments one tight edge at a time from f(0) = 0,
+    in every feasible order, memoizing on the set of assigned values.  The
+    rows are the full assignments in the order they leave the stack, with
+    those equal after rounding to 12 decimals kept only the first time.
+
+    dist: a finite (n, n) float array, n <= MAX_VERTEX_POINTS.
+    Raises ValueError when dist is not square or has too many points.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.ndim != 2 or dist.shape[1] != n:
+        raise ValueError(f"distance table is {n} x {dist.shape[-1]}, not square")
+    if n > MAX_VERTEX_POINTS:
+        raise ValueError(
+            f"lipschitz_vertices takes at most {MAX_VERTEX_POINTS} points, not {n}"
+        )
+    start = ((0, 0.0),)
+    seen = {start}
+    stack = [dict(start)]
+    vertices = []
+    while stack:
+        assign = stack.pop()
+        if len(assign) == n:
+            vertices.append(assign)
+            continue
+        for a, fa in assign.items():
+            for b in range(n):
+                if b in assign:
+                    continue
+                for fb in (fa + dist[a, b], fa - dist[a, b]):
+                    ok = all(
+                        abs(fb - fc) <= dist[b, c] + 1e-12
+                        for c, fc in assign.items()
+                    )
+                    if not ok:
+                        continue
+                    new = dict(assign)
+                    new[b] = fb
+                    key = tuple(sorted(new.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append(new)
+    out = []
+    dedup = set()
+    for assign in vertices:
+        f = np.array([assign[i] for i in range(n)])
+        key = tuple(np.round(f, 12))
+        if key not in dedup:
+            dedup.add(key)
+            out.append(f)
+    return np.array(out, dtype=np.float64).reshape(len(out), n)

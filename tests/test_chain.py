@@ -350,6 +350,20 @@ def test_degenerate_support_raises():
         max_var_lipschitz(TWO_POINT, Distribution(np.array([1.0, 0.0])), "exact")
 
 
+def test_max_var_rejects_an_unknown_mode():
+    """A mode other than "exact" or "heuristic" raises, and nothing is
+    memoised under it."""
+    chain = cube(3)
+    message = "mode must be 'exact' or 'heuristic', not 'exakt'"
+    with pytest.raises(ValueError, match=message):
+        max_var_lipschitz(chain.space, Distribution(chain.row((0, 0, 0))), "exakt")
+    with pytest.raises(ValueError, match=message):
+        local_stats(chain, (0, 0, 0), "exakt")
+    with pytest.raises(ValueError, match=message):
+        invariant_max_var(chain, "exakt")
+    assert not any("exakt" in key for key in chain._memo if isinstance(key, tuple))
+
+
 def test_lipschitz_constant_basics():
     space = space_from_matrix([0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert lipschitz_constant(space, np.zeros(3)) == 0.0

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import shortest_path
 
 from coricci import transport
-from coricci.chain import local_stats
+from coricci.chain import invariant_distribution, local_stats, max_var_lipschitz
 from coricci.curvature import contraction_check
 from coricci.errors import Infeasible
-from coricci.gallery import cube
+from coricci.gallery import binomial, cube, glauber
 from coricci.metric import space_from_matrix
 from coricci.transport import Distribution, _mcf_py, w1
 
@@ -310,6 +311,8 @@ def test_kernels_reject_mismatched_sizes():
     for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
         with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
             kernel.triangle_violation(cost[:2], 1e-12)
+        with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
+            kernel.lipschitz_vertices(cost[:2])
         with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
             kernel.solve_transport(cost, np.full(2, 0.5), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="entries for a 3 x 3 cost"):
@@ -437,3 +440,141 @@ def test_solve_pairs_rejects_bad_indices():
         empty = kernel.solve_pairs(P, dist, np.zeros(0, dtype=np.intp),
                                    np.zeros(0, dtype=np.intp))
         assert [x.shape for x in empty] == [(0,)] * 5
+
+
+def _shortest_path_metric(rng, n, kind, tree=False):
+    """Shortest-path distances of a connected graph on n points: a path
+    through the points, and unless tree, every other edge with probability
+    1/2.  Edge weights are integers 1..3 (kind 0), sevenths (kind 1) or
+    uniform reals (kind 2)."""
+    if kind == 0:
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+    elif kind == 1:
+        w = rng.integers(1, 15, size=(n, n)) / 7
+    else:
+        w = rng.random((n, n)) + 0.1
+    edges = np.eye(n, k=1, dtype=bool)
+    if not tree:
+        edges |= np.triu(rng.random((n, n)) < 0.5, 1)
+    w = np.where(edges, w, 0.0)
+    return shortest_path(w + w.T, directed=False)
+
+
+def _same_vertices(a, b):
+    """The same rows in the same order, with the same values and signs."""
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _row_problems(chain):
+    """The distance table on the support of every distinct row of chain."""
+    tables = {}
+    for row in chain.dense():
+        supp = np.flatnonzero(row > 0)
+        dist = chain.space.dist[np.ix_(supp, supp)]
+        tables.setdefault(dist.tobytes(), dist)
+    return list(tables.values())
+
+
+def test_lipschitz_vertices_backends_agree():
+    """Both kernels list the same vertices, with the same values and signs,
+    in the same order: on 300 random shortest-path metrics of 2 to 9 points,
+    with integer and non-dyadic weights, on every distinct row of cube 4,
+    glauber 4 and binomial 7, and on the support of the invariant
+    distribution of binomial 10 (p = 0.2), 11 points of a line."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    rng = np.random.default_rng(12)
+    # The pure-Python enumeration takes seconds on most metrics of 8 or 9
+    # points, so those are trees with integer weights.
+    sizes = [int(rng.integers(2, 7)) for _ in range(280)] + [7] * 12 + [8, 9] * 4
+    problems = [_shortest_path_metric(rng, n, 0, tree=True) if n >= 8
+                else _shortest_path_metric(rng, n, k % 3) for k, n in enumerate(sizes)]
+    for chain in (cube(4), glauber("cycle:4", 0.2), binomial(7, 0.5)):
+        problems += _row_problems(chain)
+    nu = invariant_distribution(binomial(10, 0.2))[0].weights
+    supp = np.flatnonzero(nu > 0)
+    problems.append(binomial(10, 0.2).space.dist[np.ix_(supp, supp)])
+    for dist in problems:
+        vertices = _mcf_cy.lipschitz_vertices(dist)
+        assert _same_vertices(_mcf_py.lipschitz_vertices(dist), vertices)
+        assert vertices.shape[1] == len(dist) and np.all(vertices[:, 0] == 0)
+    assert len(problems) >= 300 + 3 and len(supp) == 11
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), kind=st.integers(0, 2), tree=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lipschitz_vertices_property_backends_agree(n, kind, tree, seed):
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    dist = _shortest_path_metric(np.random.default_rng(seed), n, kind, tree)
+    assert _same_vertices(_mcf_py.lipschitz_vertices(dist),
+                          _mcf_cy.lipschitz_vertices(dist))
+
+
+def test_exact_max_var_same_under_both_kernels(monkeypatch):
+    """max_var_lipschitz scores the vertices in Python, so with the same
+    vertices in the same order it returns the same float and function."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    rng = np.random.default_rng(13)
+    measures = []
+    for chain in (cube(4), glauber("cycle:4", 0.2), binomial(7, 0.5)):
+        measures += [(chain.space, Distribution(row)) for row in chain.dense()]
+    for n in range(2, 8):
+        dist = _shortest_path_metric(rng, n, n % 3)
+        measures.append((space_from_matrix(range(n), dist),
+                         Distribution(rng.dirichlet(np.ones(n)))))
+    for space, mu in measures:
+        out = []
+        for kernel in (_mcf_py, _mcf_cy):
+            monkeypatch.setattr(transport, "_kernel", kernel)
+            out.append(max_var_lipschitz(space, mu, "exact"))
+        (v_py, f_py, cert_py), (v_c, f_c, cert_c) = out
+        assert type(v_py) is type(v_c) is float and v_py == v_c
+        assert _same_vertices(f_py[None], f_c[None])
+        assert cert_py == cert_c == "exact"
+
+
+def test_lipschitz_vertices_sizes():
+    """At most 63 points, since the C kernel keeps the assigned points in a
+    64-bit mask; no points give no vertex and one point the zero function."""
+    for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        with pytest.raises(ValueError, match="at most 63 points, not 64"):
+            kernel.lipschitz_vertices(1 - np.eye(64))
+        assert kernel.lipschitz_vertices(np.zeros((0, 0))).shape == (0, 0)
+        assert _same_vertices(kernel.lipschitz_vertices(np.zeros((1, 1))),
+                              np.zeros((1, 1)))
+        assert _same_vertices(kernel.lipschitz_vertices([[0, 2], [2, 0]]),
+                              np.array([[0.0, -2.0], [0.0, 2.0]]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("pure_python", [False, True])
+def test_lipschitz_vertices_reports_failed_allocation(pure_python):
+    """Enumerating the vertices of a 14-point uniform metric (millions of
+    partial assignments) with 4 MiB of address space to spare raises
+    MemoryError, and the process goes on."""
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from coricci import transport
+
+        dist = 1 - np.eye(14)
+        with open("/proc/self/status") as fh:
+            vm = next(int(l.split()[1]) for l in fh if l.startswith("VmSize"))
+        limit = vm * 1024 + 2 ** 22
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        try:
+            transport._kernel.lipschitz_vertices(dist)
+        except MemoryError:
+            print(transport.BACKEND, "MemoryError")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("CORICCI_PURE_PYTHON", None)
+    if pure_python:
+        env["CORICCI_PURE_PYTHON"] = "1"
+    built = importlib.util.find_spec("coricci.transport._mcf_cy") is not None
+    backend = "c" if built and not pure_python else "python"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.stdout.strip() == f"{backend} MemoryError", proc.stderr
