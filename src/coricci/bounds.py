@@ -149,13 +149,12 @@ def bonnet_myers(chain: Chain, report=None):
     space = chain.space
     J, _sigma2, _sigma_inf = row_moments(chain)
 
-    per_pair = []
-    for p in report.pairs:
-        if p.kappa <= 0:
-            continue
-        i, j = space.index(p.x), space.index(p.y)
-        bound = (J[i] + J[j]) / p.kappa
-        per_pair.append((p.x, p.y, float(space.dist[i, j]), bound))
+    positive = report.kappa > 0
+    x, y = report.I[positive], report.J[positive]
+    pair_bounds = (J[x] + J[y]) / report.kappa[positive]
+    points = space.points
+    per_pair = [(points[i], points[j], d, bound) for i, j, d, bound
+                in zip(x.tolist(), y.tolist(), space.dist[x, y].tolist(), pair_bounds)]
     diam_bound = 2.0 * J.max() / kappa
     diam_actual = space.diameter
 

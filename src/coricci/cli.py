@@ -10,6 +10,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -59,12 +60,41 @@ _SCALAR_TYPES = (str, int, float, type(None), np.floating, np.integer, np.bool_)
 _DISTINCT_MIN_ROWS = 64
 
 
-def _json_column(values, types):
-    """The JSON spellings of one column of row values, whose value types are
-    types.  A column of floats is spelled with float.__repr__ when all are
-    finite; a long one spells each distinct double once, keyed on its bits
-    (so 0.0 and -0.0 stay apart).  A column of strings goes through the json
-    string escape in one pass.  Any other column is spelled value by value."""
+class _Coded(NamedTuple):
+    """A column of strings held as labels[c] for each c in codes, so that
+    each label is spelled once."""
+
+    labels: list
+    codes: np.ndarray
+
+
+class _Columns(dict):
+    """Flat rows that share their keys, held by column: {key: list of the
+    rows' values or _Coded}.  A report writes it as its list of rows."""
+
+    def plus_row(self, row):
+        """These rows and then row, a dict with the same keys."""
+        return _Columns((k, _values(column) + [row[k]]) for k, column in self.items())
+
+
+def _values(column):
+    """The values of a column of a _Columns, as a list."""
+    if isinstance(column, _Coded):
+        return list(map(column.labels.__getitem__, column.codes.tolist()))
+    return column
+
+
+def _json_column(values):
+    """The JSON spellings of one column of row values.  A column of floats
+    is spelled with float.__repr__ when all are finite; a long one spells
+    each distinct double once, keyed on its bits (so 0.0 and -0.0 stay
+    apart).  A column of strings goes through the json string escape in one
+    pass, and a _Coded column spells its labels once.  Any other column is
+    spelled value by value."""
+    if isinstance(values, _Coded):
+        spelled = list(_json_column(values.labels))
+        return map(spelled.__getitem__, values.codes.tolist())
+    types = set(map(type, values))
     if all(issubclass(t, float) for t in types):
         distinct, inverse = values, None
         if len(values) >= _DISTINCT_MIN_ROWS:
@@ -80,33 +110,41 @@ def _json_column(values, types):
     return map(_json_value, values)
 
 
+def _json_table(columns, level):
+    """A _Columns of at least one row as json.dumps(indent=1, default=_fmt)
+    writes its list of row dicts at nesting depth level: the rows are spelled
+    column by column and filled into one row template."""
+    pad = "\n" + " " * (level + 1)
+    # Braces in a key are doubled so that str.format keeps them.
+    fields = ",".join(pad + " " + encode_basestring_ascii(k).replace("{", "{{")
+                      .replace("}", "}}") + ": {}" for k in columns)
+    template = pad + "{{" + fields + pad + "}}"
+    values = map(_json_column, columns.values())
+    return f"[{','.join(map(template.format, *values))}\n{' ' * level}]"
+
+
 def _json_rows(rows, level):
-    """A list of flat rows that share their keys, as json.dumps(indent=1,
-    default=_fmt) writes it at nesting depth level: the rows are formatted
-    column by column and filled into one row template.  None for any other
-    value."""
+    """A list of flat rows that share their keys, written by _json_table.
+    None for any other value."""
     if not isinstance(rows, (list, tuple)) or not rows or set(map(type, rows)) != {dict}:
         return None
     key_lists = set(map(tuple, rows))
     keys = key_lists.pop()
     if key_lists or not keys or not all(type(k) is str for k in keys):
         return None
-    columns = [list(map(itemgetter(k), rows)) for k in keys]
-    types = [set(map(type, column)) for column in columns]
-    if not all(issubclass(t, _SCALAR_TYPES) for ts in types for t in ts):
+    columns = _Columns((k, list(map(itemgetter(k), rows))) for k in keys)
+    if not all(issubclass(t, _SCALAR_TYPES) for column in columns.values()
+               for t in set(map(type, column))):
         return None
-    pad = "\n" + " " * (level + 1)
-    # Braces in a key are doubled so that str.format keeps them.
-    fields = ",".join(pad + " " + encode_basestring_ascii(k).replace("{", "{{")
-                      .replace("}", "}}") + ": {}" for k in keys)
-    template = pad + "{{" + fields + pad + "}}"
-    values = map(_json_column, columns, types)
-    return f"[{','.join(map(template.format, *values))}\n{' ' * level}]"
+    return _json_table(columns, level)
 
 
 def _json(obj, level=0):
     """json.dumps(obj, indent=1, default=_fmt) for obj at nesting depth
-    level, with every list of flat rows written by _json_rows."""
+    level, with every list of flat rows and every _Columns written by
+    _json_table."""
+    if isinstance(obj, _Columns):
+        return _json_table(obj, level)
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         pad = "\n" + " " * (level + 1)
         items = (f"{pad}{encode_basestring_ascii(k)}: {_json(v, level + 1)}"
@@ -121,19 +159,27 @@ def _json(obj, level=0):
 
 
 def _emit(doc, rows, fmt):
-    """Print a report: nested JSON or flat CSV rows with a fixed schema."""
+    """Print a report: nested JSON, or flat CSV rows with a fixed schema
+    from rows, a list of dicts that share their keys or a _Columns."""
     if fmt == "json":
         _echo(_json(doc))
-    else:
-        if not rows:
-            return
+    elif rows:
+        if not isinstance(rows, _Columns):
+            rows = _Columns((k, [row[k] for row in rows]) for k in rows[0])
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt_str(v) if isinstance(v, (float, np.floating)) else v
-                             for k, v in row.items()})
+        writer = csv.writer(out)
+        writer.writerow(rows)
+        writer.writerows(zip(*(
+            [_fmt_str(v) if isinstance(v, (float, np.floating)) else v for v in _values(column)]
+            for column in rows.values())))
         _echo(out.getvalue().rstrip("\n"))
+
+
+def _max_unstability(rep):
+    """The largest U over the scanned pairs where it is defined, the first
+    in pair order among equal ones (as max() picks it), or 0.0 when none is."""
+    defined = rep.U[~np.isnan(rep.U)]
+    return float(defined[np.argmax(defined)]) if defined.size else 0.0
 
 
 def _report(chain, geodesic, delta=0.0):
@@ -242,19 +288,20 @@ def curvature(chain_file, geodesic, delta, fmt):
     """Pointwise and global coarse Ricci curvature."""
     chain = chainfile.load_chain(chain_file)
     rep = _report(chain, geodesic, delta)
-    rows = [
-        {"x": str(p.x), "y": str(p.y), "kappa": p.kappa,
-         "kappa_plus": p.kappa_plus, "kappa_minus": p.kappa_minus,
-         "U": "" if p.U is None else p.U}
-        for p in rep.pairs
-    ]
+    labels = [str(p) for p in chain.space.points]
+    pairs = _Columns(x=_Coded(labels, rep.I), y=_Coded(labels, rep.J),
+                     kappa=rep.kappa.tolist(), kappa_plus=rep.kappa_plus.tolist(),
+                     kappa_minus=rep.kappa_minus.tolist(),
+                     U=["" if math.isnan(u) else u for u in rep.U.tolist()])
     doc = {"mode": rep.mode, "delta": rep.delta,
-           "global_kappa": rep.global_kappa, "pairs": rows}
+           "global_kappa": rep.global_kappa, "pairs": pairs}
     if chain.dt is not None:
         doc["dt"] = chain.dt
         doc["kappa_per_time"] = rep.global_kappa / chain.dt
-    _emit(doc, rows + [{"x": "global", "y": "", "kappa": rep.global_kappa,
-                        "kappa_plus": "", "kappa_minus": "", "U": ""}], fmt)
+    if fmt == "csv":
+        pairs = pairs.plus_row({"x": "global", "y": "", "kappa": rep.global_kappa,
+                                "kappa_plus": "", "kappa_minus": "", "U": ""})
+    _emit(doc, pairs, fmt)
 
 
 @main.command()
@@ -373,7 +420,7 @@ def logsobolev(chain_file, geodesic, lam, seed, fmt):
     """Thm. 40 log-Sobolev inequalities for a random positive function."""
     chain = chainfile.load_chain(chain_file)
     rep = _report(chain, geodesic)
-    U = max((p.U for p in rep.pairs if p.U is not None), default=0.0)
+    U = _max_unstability(rep)
     if lam is None:
         lam = bounds_mod.admissible_lambda(chain, U)
     rng = np.random.default_rng(seed)
@@ -439,7 +486,7 @@ def _verify_checks(chain, geodesic):
         f = chain.space.dist[:, 0]
         conc = bounds_mod.gaussian_concentration(chain, f, kappa)
         checks.append(("gaussian_concentration", conc.holds))
-        U = max((p.U for p in rep.pairs if p.U is not None), default=0.0)
+        U = _max_unstability(rep)
         lam = bounds_mod.admissible_lambda(chain, U)
         rng = np.random.default_rng(0)
         g = np.exp(rng.normal(size=chain.n))

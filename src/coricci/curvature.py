@@ -4,14 +4,17 @@ and direct contraction checks."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import Chain, push_forward
 from .errors import NoPairs, NotGeodesic, SamePoint
 from .metric import is_epsilon_geodesic, is_hop
-from .transport import Distribution, plan_parts, w1, w1_pairs
+from .transport import MASS_ATOL, Distribution, plan_parts, w1, w1_pairs
 
 KAPPA_ATOL = 1e-9
 
@@ -26,12 +29,60 @@ class PairCurvature:
     U: float | None  # None when kappa <= 0 (unstability undefined)
 
 
-@dataclass(frozen=True)
+class _Pairs(Sequence):
+    """The pairs of a CurvatureReport as PairCurvature, built from the
+    report's columns on first item access; len() reads the columns only."""
+
+    def __init__(self, report):
+        self._report = report
+
+    def __len__(self):
+        return len(self._report.I)
+
+    @cached_property
+    def _items(self):
+        r = self._report
+        points = r.points
+        return tuple(
+            PairCurvature(points[i], points[j], k, kp, km, None if math.isnan(u) else u)
+            for i, j, k, kp, km, u in zip(r.I.tolist(), r.J.tolist(), r.kappa.tolist(),
+                                          r.kappa_plus.tolist(), r.kappa_minus.tolist(),
+                                          r.U.tolist())
+        )
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self._items)
+
+
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
-    pairs: tuple
+    """A pair scan as columns, one entry per scanned pair x < y in row-major
+    order: the point indices I and J into points, and the float arrays kappa,
+    kappa_plus, kappa_minus and U, where U is NaN when kappa <= 0
+    (unstability undefined).  The arrays are read-only.  pairs holds the same
+    scan as PairCurvature objects, built only when an item is read."""
+
+    points: tuple
+    I: np.ndarray
+    J: np.ndarray
+    kappa: np.ndarray
+    kappa_plus: np.ndarray
+    kappa_minus: np.ndarray
+    U: np.ndarray
     global_kappa: float
     mode: str  # "all-pairs" | "geodesic(eps)"
     delta: float
+
+    def __post_init__(self):
+        for column in (self.I, self.J, self.kappa, self.kappa_plus, self.kappa_minus, self.U):
+            column.setflags(write=False)
+
+    @cached_property
+    def pairs(self) -> _Pairs:
+        return _Pairs(self)
 
 
 def _pair_w1(chain: Chain, x, y):
@@ -45,18 +96,22 @@ def _pair_w1(chain: Chain, x, y):
 
 
 def _curvature_parts(plus, minus, dxy):
-    """(kappa+, kappa-, U) from the plan integrals of the positive and
-    negative parts of d(x,y) - d(x',y'): each divided by d(x,y), and
-    U = kappa-/kappa (None when kappa <= 0)."""
+    """Arrays (kappa+, kappa-, U) from arrays of the plan integrals of the
+    positive and negative parts of d(x,y) - d(x',y'): each divided by d(x,y),
+    and U = kappa-/kappa, NaN where kappa <= 0."""
     k_plus, k_minus = plus / dxy, minus / dxy
     k = k_plus - k_minus
-    return k_plus, k_minus, (k_minus / k if k > 0 else None)
+    U = np.full(np.shape(k), np.nan)
+    np.divide(k_minus, k, out=U, where=k > 0)
+    return k_plus, k_minus, U
 
 
 def _coupling_parts(plan, dist, i, j):
-    """(kappa+, kappa-, U) at the pair (i, j) over a CouplingPlan."""
+    """(kappa+, kappa-, U) at the pair (i, j) over a CouplingPlan, as floats
+    with U None when kappa <= 0."""
     dxy = dist[i, j]
-    return _curvature_parts(*plan_parts(plan.entries, dist, dxy), dxy)
+    k_plus, k_minus, U = map(float, _curvature_parts(*plan_parts(plan.entries, dist, dxy), dxy))
+    return k_plus, k_minus, None if math.isnan(U) else U
 
 
 def kappa(chain: Chain, x, y, delta: float = 0.0) -> float:
@@ -85,7 +140,11 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
     """Scan unordered pairs; geodesic mode restricts to the hops d(x,y) <= eps
     (the predicate is_epsilon_geodesic uses), which lower-bounds kappa over
     all pairs by the eps-geodesic reduction.  Every pair is solved and
-    certified in one kernel call, with the plan w1 returns for it."""
+    certified in one kernel call, with the plan w1 returns for it, and the
+    report keeps the kernel's per-pair results as columns.
+
+    Every kernel row must be a probability vector: the first that is not
+    raises the ValueError of Distribution."""
     space = chain.space
     if mode == "geodesic":
         if eps is None or eps <= 0:
@@ -102,21 +161,22 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
         raise NoPairs("the space has one point, so no pair to scan")
 
     dense = chain.dense()
-    for row in dense:
-        Distribution(row)  # raises unless the row is a probability vector
+    # Rows that could fail the Distribution check, found in one pass: a
+    # non-finite or negative entry, or a sum off 1 by more than half the
+    # tolerance (so a row sum rounded differently here cannot hide a row
+    # the check rejects).  Only those rows get the check itself.
+    suspect = (~np.isfinite(dense).all(axis=1) | (dense < 0).any(axis=1)
+               | (np.abs(dense.sum(axis=1) - 1.0) > MASS_ATOL / 2))
+    for row in dense[suspect]:
+        Distribution(row)
     d = space.dist
     scanned = is_hop(d, eps) if mode == "geodesic" else np.ones(d.shape, dtype=bool)
     I, J = np.nonzero(np.triu(scanned, 1))  # row-major: (0, 1), (0, 2), ...
     cost, plus, minus = w1_pairs(dense, space, I, J)
     dxy = d[I, J]
     kappas = 1.0 - np.maximum(cost - delta, 0.0) / dxy
-    points = space.points
-    pairs = tuple(
-        PairCurvature(points[i], points[j], k, *_curvature_parts(p, m, dij))
-        for i, j, k, p, m, dij in zip(I.tolist(), J.tolist(), kappas.tolist(),
-                                      plus.tolist(), minus.tolist(), dxy.tolist())
-    )
-    return CurvatureReport(pairs, float(kappas.min()), mode_str, delta)
+    return CurvatureReport(space.points, I, J, kappas, *_curvature_parts(plus, minus, dxy),
+                           float(kappas.min()), mode_str, delta)
 
 
 def contraction_check(chain: Chain, mu: Distribution, nu: Distribution, kappa_bound: float):

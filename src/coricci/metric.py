@@ -153,15 +153,21 @@ def is_epsilon_geodesic(space: FiniteMetricSpace, eps: float):
 
     Returns (True, None) or (False, (x, y)) with a violating pair.  A chain
     exists iff the shortest path restricted to hops of length <= eps
-    reproduces the full distance (within relative tolerance 1e-9).
+    reproduces the full distance (within relative tolerance 1e-9).  The hops
+    form a sparse graph, searched with scipy's Dijkstra.  It is undirected:
+    an entry that is a hop one way only (the table may be asymmetric within
+    METRIC_ATOL) joins its points at its own length, and an entry that is a
+    hop both ways at the smaller of the two.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = space.dist
     hop = np.where(is_hop(d, eps), d, np.inf)
-    np.fill_diagonal(hop, 0.0)
-    restricted = shortest_path(np.where(np.isinf(hop), 0, hop), method="D", directed=False)
-    # shortest_path on a dense matrix treats 0 as "no edge"; re-add diag.
+    hop = np.minimum(hop, hop.T)
+    np.fill_diagonal(hop, np.inf)
+    rows, cols = np.nonzero(np.isfinite(hop) & (hop != 0))
+    graph = csr_matrix((hop[rows, cols], (rows, cols)), shape=d.shape)
+    restricted = shortest_path(graph, method="D", directed=True)
     gap = restricted - d
     tol = GEODESIC_RTOL * np.maximum(d, 1.0)
     bad = np.argwhere(gap > tol)

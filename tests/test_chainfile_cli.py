@@ -25,6 +25,7 @@ import coricci.metric
 from coricci import chainfile, gallery
 from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
+from coricci.curvature import kappa_global
 from coricci.errors import ChainFileError, DegenerateSupport, InequalityFails
 from coricci.transport import MASS_ATOL
 
@@ -144,6 +145,45 @@ def test_curvature_csv(runner, tmp_path):
     assert rows[-1][0] == "global"
     # 17-significant-digit floats round-trip exactly
     assert float(rows[1][2]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("preset, args", [
+    ("geometric_reflect", ["--k", "30"]),  # pairs with kappa <= 0: U is empty
+    ("mm_infty", ["--lam", "2", "--mu", "1", "--dt", "0.01", "--k", "30"]),  # has dt
+])
+def test_curvature_writes_the_rows_of_its_pairs(runner, tmp_path, preset, args):
+    """`coricci curvature` writes, from the scan's columns, the bytes of its
+    report built as one dict per pair: json.dumps(indent=1, default=_fmt) of
+    the document, and the CSV rows of a csv.DictWriter with 17-digit floats."""
+    path = _gen(runner, tmp_path, preset, *args)
+    chain = load_chain(path)
+    for argv, kwargs in (([], {}), (["--geodesic", "1"], {"mode": "geodesic", "eps": 1.0}),
+                         (["--delta", "0.1"], {"delta": 0.1})):
+        rep = kappa_global(chain, **kwargs)
+        rows = [{"x": str(p.x), "y": str(p.y), "kappa": p.kappa, "kappa_plus": p.kappa_plus,
+                 "kappa_minus": p.kappa_minus, "U": "" if p.U is None else p.U}
+                for p in rep.pairs]
+        assert any(r["U"] == "" for r in rows) == (preset == "geometric_reflect")
+        doc = {"mode": rep.mode, "delta": rep.delta, "global_kappa": rep.global_kappa,
+               "pairs": rows}
+        if chain.dt is not None:
+            doc["dt"] = chain.dt
+            doc["kappa_per_time"] = rep.global_kappa / chain.dt
+        res = runner.invoke(main, ["curvature", path, *argv])
+        assert res.exit_code == 0, res.output
+        expected = json.dumps(doc, indent=1, default=coricci.cli._fmt) + "\n"
+        assert res.stdout_bytes == expected.encode()
+
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows + [{"x": "global", "y": "", "kappa": rep.global_kappa,
+                            "kappa_plus": "", "kappa_minus": "", "U": ""}]:
+            writer.writerow({k: f"{v:.17g}" if isinstance(v, float) else v
+                             for k, v in row.items()})
+        res = runner.invoke(main, ["curvature", path, "--format", "csv", *argv])
+        assert res.exit_code == 0, res.output
+        assert res.stdout_bytes == (out.getvalue().rstrip("\n") + "\n").encode()
 
 
 def test_gen_bad_params_exit_2(runner, tmp_path):

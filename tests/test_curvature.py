@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 import coricci as c
 from coricci import transport
-from coricci.chain import averaging, build_chain, lipschitz_constant, local_stats
+from coricci.chain import Chain, averaging, build_chain, lipschitz_constant, local_stats
 from coricci.curvature import (
     _coupling_parts,
     contraction_check,
@@ -19,7 +20,7 @@ from coricci.curvature import (
 from coricci.errors import Infeasible, NoPairs, NotGeodesic, SamePoint
 from coricci.gallery import cube, geometric_reflect, glauber
 from coricci.metric import is_epsilon_geodesic, is_hop, space_from_matrix
-from coricci.transport import Distribution, w1
+from coricci.transport import MASS_ATOL, Distribution, w1
 
 
 def cycle_chain(n):
@@ -223,7 +224,7 @@ def test_one_point_space_has_no_pairs():
         kappa_global(chain)
 
 
-def _per_pair_scan(chain, eps=None):
+def _per_pair_scan(chain, eps=None, delta=0.0):
     """kappa_global's pairs as one w1 and _coupling_parts call per pair."""
     space, dense = chain.space, chain.dense()
     d = space.dist
@@ -232,25 +233,85 @@ def _per_pair_scan(chain, eps=None):
         if eps is not None and not is_hop(d[i, j], eps):
             continue
         res = w1(Distribution(dense[i]), Distribution(dense[j]), space)
-        k = 1.0 - max(res.cost, 0.0) / d[i, j]
+        k = 1.0 - max(res.cost - delta, 0.0) / d[i, j]
         out.append((space.points[i], space.points[j], k)
                    + _coupling_parts(res.plan, d, i, j))
     return out
 
 
-def _assert_scan_matches_w1(chain, eps=None):
+def _bits(values):
+    """The bits of each float, None as NaN: equal bits mean the same double
+    with the same sign."""
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64).view(np.int64)
+
+
+def _assert_scan_matches_w1(chain, eps=None, delta=0.0):
+    """The report's columns and its pairs are the per-pair w1 loop bit for
+    bit, with NaN in the U column and None in the pairs where U is undefined."""
     mode = "all-pairs" if eps is None else "geodesic"
-    rep = kappa_global(chain, mode=mode, eps=eps)
-    ref = _per_pair_scan(chain, eps)
+    rep = kappa_global(chain, mode=mode, eps=eps, delta=delta)
+    ref = _per_pair_scan(chain, eps, delta)
+    index = chain.space.index
+    assert rep.I.tolist() == [index(r[0]) for r in ref]
+    assert rep.J.tolist() == [index(r[1]) for r in ref]
+    columns = (rep.kappa, rep.kappa_plus, rep.kappa_minus, rep.U)
+    assert len(rep.pairs) == len(ref)
     got = [(p.x, p.y, p.kappa, p.kappa_plus, p.kappa_minus, p.U) for p in rep.pairs]
-    assert got == ref  # floats compared with ==: bit for bit
+    assert [r[:2] for r in got] == [r[:2] for r in ref]
+    for k, column in enumerate(columns, start=2):
+        expected = _bits([r[k] for r in ref])
+        assert np.array_equal(column.view(np.int64), expected)
+        assert np.array_equal(_bits([r[k] for r in got]), expected)
+    assert [p.U is None for p in rep.pairs] == [r[5] is None for r in ref]
     assert rep.global_kappa == min(r[2] for r in ref)
 
 
 def test_kappa_global_matches_per_pair_w1(cube4, binom20, glauber5):
-    for chain in (cube4, binom20, glauber5):
+    reflect = geometric_reflect(K=20)  # has pairs with kappa <= 0: U undefined
+    assert np.isnan(kappa_global(reflect).U).any()
+    for chain in (cube4, binom20, glauber5, reflect):
         _assert_scan_matches_w1(chain)
         _assert_scan_matches_w1(chain, eps=1)
+    for delta in (0.1, 0.5):
+        _assert_scan_matches_w1(binom20, delta=delta)
+        _assert_scan_matches_w1(glauber5, eps=1, delta=delta)
+        _assert_scan_matches_w1(reflect, eps=1, delta=delta)
+
+
+_OVER = 0.25 + MASS_ATOL  # a row 0.25, 0.25, 0.25, _OVER sums to 1 + MASS_ATOL, rounded
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.2, np.nan, 0.3, 0.3, 0.2], "non-finite weight nan at index 1"),
+    ([0.2, np.inf, 0.3, 0.3, 0.2], "non-finite weight inf at index 1"),
+    ([0.2, -np.inf, 0.3, 0.3, 0.2], "non-finite weight -inf at index 1"),
+    ([0.6, -0.1, 0.3, 0.1, 0.1], "negative weight in distribution"),
+    ([0.2, 0.2, 0.2, 0.2, 0.2 + 2e-12], "weights sum to np.float64(1.0000000000020002), not 1"),
+    ([0.25, 0.25, 0.25, _OVER, 0.0], "weights sum to np.float64(1.000000000001), not 1"),
+    ([0.25, 0.25, 0.25, np.nextafter(_OVER, 0), 0.0], None),
+    ([0.25, 0.25, 0.25, 0.25 - MASS_ATOL, 0.0], None),
+    ([0.25, 0.25, 0.25, np.nextafter(0.25 - MASS_ATOL, 0), 0.0],
+     "weights sum to np.float64(0.9999999999989999), not 1"),
+])
+def test_kappa_global_rejects_the_first_row_that_is_no_distribution(row, message):
+    """A chain built around build_chain, with one kernel row in the middle
+    that is no probability vector, or is one within MASS_ATOL: the scan
+    raises what Distribution raises on that row, also when a later row is
+    bad too, and scans a row within tolerance."""
+    n = 5
+    x = np.arange(n, dtype=float)
+    space = space_from_matrix(range(n), np.abs(x[:, None] - x[None, :]))
+    P = np.full((n, n), 1 / n)
+    P[2] = row
+    if message is None:
+        assert kappa_global(Chain(space, csr_matrix(P))).pairs
+        return
+    for later in (None, [np.nan, 0.5, 0.5, 0.0, 0.0]):
+        if later is not None:
+            P[4] = later
+        with pytest.raises(ValueError) as exc:
+            kappa_global(Chain(space, csr_matrix(P)))
+        assert str(exc.value) == message
 
 
 @st.composite

@@ -7,9 +7,12 @@ from scipy.sparse.csgraph import shortest_path
 from coricci import transport
 from coricci.errors import DisconnectedGraph, MetricViolation
 from coricci.metric import (
+    GEODESIC_RTOL,
     METRIC_ATOL,
+    FiniteMetricSpace,
     build_space,
     is_epsilon_geodesic,
+    is_hop,
     space_from_edges,
     space_from_matrix,
 )
@@ -116,6 +119,40 @@ def test_edge_list_geodesic_at_max_weight():
     space = space_from_edges(range(4), edges)
     ok, _ = is_epsilon_geodesic(space, 2.0)
     assert ok
+
+
+def _dense_is_epsilon_geodesic(space, eps):
+    """The geodesic test on the dense n x n hop matrix, searched by scipy's
+    undirected Dijkstra: the reference for the sparse hop graph."""
+    d = space.dist
+    hop = np.where(is_hop(d, eps), d, np.inf)
+    np.fill_diagonal(hop, 0.0)
+    restricted = shortest_path(np.where(np.isinf(hop), 0, hop), method="D", directed=False)
+    bad = np.argwhere(restricted - d > GEODESIC_RTOL * np.maximum(d, 1.0))
+    if bad.size:
+        i, j = bad[0]
+        return False, (space.points[i], space.points[j])
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([0.1, 1.0, 2.5]))
+def test_geodesic_test_matches_the_dense_hop_matrix(n, seed, eps):
+    """The sparse hop graph gives the dense test's answer and witness pair,
+    on shortest-path metrics whose edges are shorter than eps, at eps, up to
+    METRIC_ATOL above it, just beyond that or longer, with a third of the
+    entries moved by up to 1e-12 each, so some are hops one way only."""
+    rng = np.random.default_rng(seed)
+    lengths = np.concatenate([eps + np.array([0.0, 0.5, 1.0, 1.5]) * METRIC_ATOL,
+                              [0.5 * eps, 1.7 * eps]])
+    weights = np.triu(rng.choice(lengths, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+    weights[np.arange(n - 1), np.arange(1, n)] = rng.choice(lengths, size=n - 1)
+    dist = shortest_path(weights + weights.T, method="D", directed=False)
+    dist += np.where(rng.random((n, n)) < 1 / 3, rng.uniform(-1e-12, 1e-12, (n, n)), 0.0)
+    np.fill_diagonal(dist, 0.0)
+    space = FiniteMetricSpace(tuple(range(n)), dist)
+    assert is_epsilon_geodesic(space, eps) == _dense_is_epsilon_geodesic(space, eps)
 
 
 def test_matrix_roundtrip_bit_exact():

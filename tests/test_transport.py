@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from coricci import transport
-from coricci.chain import invariant_distribution, local_stats, max_var_lipschitz
+from coricci.chain import invariant_distribution, local_stats, max_var_lipschitz, push_forward
 from coricci.curvature import contraction_check
 from coricci.errors import Infeasible
 from coricci.gallery import binomial, cube, glauber
@@ -89,6 +90,31 @@ def test_against_lp_oracle_random_instances():
         nu = random_distribution(rng, 6, support=4)
         res = w1(mu, nu, space)
         assert res.cost == pytest.approx(lp_oracle(mu, nu, space), abs=1e-9)
+
+
+def test_against_tight_lp_on_full_support_cube7_measures():
+    """W1 between full-support measures on cube 7, and between their images
+    under one step of the chain, agrees with HiGHS solved at feasibility
+    tolerances of 1e-10 within 1e-12 relative.  The measures are the
+    Dirichlet draws of a contraction benchmark run (rng seeded [920, 0], mu
+    then nu in each pass) at passes 0 and 1536.  On them HiGHS at its default
+    tolerances (about 1e-7) is off by up to about 1e-7 relative, more than a
+    1e-9 check allows, so an LP oracle of W1 needs the tighter tolerances."""
+    chain = cube(7)
+    space, n = chain.space, chain.n
+    rng = np.random.default_rng([920, 0])
+    draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))) for _ in range(1537)]
+    rows = np.concatenate([np.repeat(np.arange(n), n), n + np.tile(np.arange(n), n)])
+    a_eq = coo_matrix((np.ones(2 * n * n), (rows, np.tile(np.arange(n * n), 2))),
+                      shape=(2 * n, n * n))
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    for mu, nu in (draws[0], draws[1536]):
+        for a, b in ((mu, nu), (push_forward(chain, mu), push_forward(chain, nu))):
+            res = linprog(space.dist.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                          bounds=(0, None), method="highs", options=tight)
+            assert res.status == 0
+            cost = w1(Distribution(a), Distribution(b), space).cost
+            assert abs(cost - res.fun) <= 1e-12 * cost
 
 
 def test_plan_and_dual_invariants_random():
