@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, null_space
 
 # max_var_lipschitz is not called here (invariant_max_var computes maxVar of
 # nu), but perfbench/tracing.py wraps it under this module's name.
@@ -103,6 +102,8 @@ class ExpConcentrationReport:
 def spectral_report(chain: Chain, kappa: float, n_random: int = 20, seed: int = 0) -> SpectralReport:
     """Eigenvalues of the averaging operator on the nu-mean-zero subspace,
     with the Prop.-29 radius bound and the Cor.-30 Poincare inequalities."""
+    from scipy.linalg import eigvals, null_space
+
     nu, reversible, _unique = invariant_distribution(chain)
     P = chain.dense()
     n = chain.n

@@ -6,9 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh, null_space
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import transport
 from .errors import (
@@ -30,34 +27,35 @@ EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class Chain:
-    """A Markov kernel, one sparse probability row per point.
+    """A Markov kernel: a dense, read-only n x n float64 matrix whose row x
+    is the probability vector m_x.
 
     dt is set when the chain discretizes a continuous-time process, so that
     reports can present kappa/dt and sigma^2/dt as rate quantities.
 
     The kernel never changes after construction.  Quantities derived from
-    it (the dense matrix, the invariant distribution, the row moments, the
-    maxVar of each distinct row problem, local statistics, and the maximal
-    Lipschitz variance of nu and its upper bound) are filled in lazily, once
-    per chain, and live as long as the chain does.  The chain is safe to share
+    it (the invariant distribution, the row moments, the maxVar of each
+    distinct row problem, local statistics, and the maximal Lipschitz
+    variance of nu and its upper bound) are filled in lazily, once per
+    chain, and live as long as the chain does.  The chain is safe to share
     across threads: two threads that fill the same entry at once only
     repeat the work and store equal values.
     """
 
     space: FiniteMetricSpace
-    kernel: csr_matrix
+    kernel: np.ndarray
     dt: float | None = None
-    _dense: np.ndarray = field(repr=False, compare=False, default=None)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.kernel.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.space.n
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            object.__setattr__(self, "_dense", self.kernel.toarray())
-        return self._dense
+        return self.kernel
 
     def row(self, x) -> np.ndarray:
         return self.dense()[self.space.index(x)]
@@ -107,7 +105,7 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
                 f"no row supplied for point {space.points[min(missing)]!r}"
             )
     else:
-        mat = np.asarray(rows, dtype=np.float64)
+        mat = np.array(rows, dtype=np.float64)
         if mat.shape != (n, n):
             raise RowNotStochastic("kernel matrix shape does not match the space")
     if not np.all(np.isfinite(mat)):
@@ -136,7 +134,7 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
         mat = np.where(off[:, None], mat / sums[:, None], mat)
     if dt is not None and dt <= 0:
         raise ValueError("dt must be positive")
-    return Chain(space, csr_matrix(mat), None if dt is None else float(dt))
+    return Chain(space, mat, None if dt is None else float(dt))
 
 
 def n_step(chain: Chain, n: int) -> Chain:
@@ -154,7 +152,7 @@ def n_step(chain: Chain, n: int) -> Chain:
         k >>= 1
         if k:
             power = power @ power
-    return Chain(chain.space, csr_matrix(result), chain.dt)
+    return Chain(chain.space, result, chain.dt)
 
 
 def push_forward(chain: Chain, weights: np.ndarray) -> np.ndarray:
@@ -175,6 +173,10 @@ def _solve_invariant(chain: Chain):
     to it.  Uniqueness is double-checked by the rank of (M - I) on the
     mean-zero subspace.
     """
+    from scipy.linalg import null_space
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     P = chain.dense()
     n = chain.n
     n_comp, labels = connected_components(
@@ -427,6 +429,8 @@ def _max_var_upper(chain: Chain) -> float:
 
 def _poincare_max_var(chain: Chain, w: np.ndarray, d2: np.ndarray) -> float:
     """B of invariant_max_var_upper, or inf where it does not apply."""
+    from scipy.linalg import eigvalsh, null_space
+
     n = chain.n
     if n < 2 or not np.all(w > 0):
         return np.inf

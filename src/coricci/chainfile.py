@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from .chain import Chain, build_chain
-from .errors import ChainFileError, CoricciError
+from .errors import ChainFileError, CoricciError, RepeatedPoint
 from .metric import FiniteMetricSpace, space_from_edges, space_from_matrix
 
 FORMAT_VERSION = 1
@@ -28,31 +28,51 @@ def stringify_chain(chain: Chain) -> Chain:
     return Chain(space, chain.kernel, chain.dt)
 
 
-def dump_chain(chain: Chain) -> dict:
+def format_chain(chain: Chain) -> str:
+    """The chain file's text: the bytes json.dump(doc, fh, indent=1) writes
+    for the file's document, then a newline, built in one pass.  Floats are
+    spelled with repr, as json spells them, and point names with
+    json.dumps."""
     chain = stringify_chain(chain)
-    dense = chain.dense()
-    kernel = {}
-    for i, p in enumerate(chain.space.points):
-        supp = np.nonzero(dense[i] > 0)[0]
-        kernel[p] = [[chain.space.points[j], _fmt(dense[i, j])] for j in supp]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "points": list(chain.space.points),
-        "metric": {
-            "type": "matrix",
-            "payload": [[_fmt(v) for v in row] for row in chain.space.dist],
-        },
-        "kernel": kernel,
-    }
+    names = list(map(json.dumps, chain.space.points))
+    metric = [_json_block([f'"{v!r}"' for v in row], 3)
+              for row in chain.space.dist.tolist()]
+    kernel = []
+    for name, row in zip(names, chain.dense()):
+        supp = np.nonzero(row > 0)[0]
+        entries = [_json_block([names[j], f'"{p!r}"'], 3)
+                   for j, p in zip(supp.tolist(), row[supp].tolist())]
+        kernel.append(f"{name}: {_json_block(entries, 2)}")
+    fields = [
+        f'"format_version": {FORMAT_VERSION}',
+        f'"points": {_json_block(names, 1)}',
+        '"metric": ' + _json_block(['"type": "matrix"',
+                                    f'"payload": {_json_block(metric, 2)}'], 1, "{}"),
+        f'"kernel": {_json_block(kernel, 1, "{}")}',
+    ]
     if chain.dt is not None:
-        doc["dt"] = _fmt(chain.dt)
-    return doc
+        fields.append(f'"dt": "{_fmt(chain.dt)}"')
+    return _json_block(fields, 0, "{}") + "\n"
+
+
+def _json_block(items, level, brackets="[]"):
+    """A JSON list (or, with brackets "{}", an object) at nesting depth
+    level, as json.dumps(indent=1) writes it, from its items (or "key:
+    value" members) already spelled."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * level}{brackets[1]}"
+
+
+def dump_chain(chain: Chain) -> dict:
+    """The chain file's document, as json.loads reads it back."""
+    return json.loads(format_chain(chain))
 
 
 def save_chain(chain: Chain, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(dump_chain(chain), fh, indent=1)
-        fh.write("\n")
+        fh.write(format_chain(chain))
 
 
 def parse_chain(doc: dict) -> Chain:
@@ -82,6 +102,8 @@ def parse_chain(doc: dict) -> Chain:
             )
     except ChainFileError:
         raise
+    except RepeatedPoint as exc:
+        raise ChainFileError(f"field 'points': {exc}") from None
     except CoricciError as exc:
         raise ChainFileError(f"field 'metric.payload': {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,9 +115,14 @@ def parse_chain(doc: dict) -> Chain:
     rows = {}
     for p, entries in kernel.items():
         try:
-            rows[p] = {target: float(prob) for target, prob in entries}
+            row = rows[p] = {target: float(prob) for target, prob in entries}
         except (TypeError, ValueError) as exc:
             raise ChainFileError(f"field 'kernel.{p}': malformed ({exc})") from None
+        if len(row) < len(entries):
+            targets = [target for target, _prob in entries]
+            repeat = next(t for t in targets if targets.count(t) > 1)
+            raise ChainFileError(
+                f"field 'kernel.{p}': target {repeat!r} listed more than once")
     dt = doc.get("dt")
     try:
         return build_chain(space, rows, None if dt is None else float(dt))

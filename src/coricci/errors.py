@@ -9,6 +9,10 @@ class MetricViolation(CoricciError):
     """The supplied distance table is not a metric."""
 
 
+class RepeatedPoint(CoricciError):
+    """Two points of a space share one name."""
+
+
 class DisconnectedGraph(CoricciError):
     """Edge-list input does not define a connected graph."""
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
-from .errors import DisconnectedGraph, MetricViolation
+from .errors import DisconnectedGraph, MetricViolation, RepeatedPoint
 
 METRIC_ATOL = 1e-12
 GEODESIC_RTOL = 1e-9
@@ -30,7 +28,7 @@ class FiniteMetricSpace:
     _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        object.__setattr__(self, "_index", _point_index(self.points))
         self.dist.setflags(write=False)
 
     @property
@@ -49,6 +47,16 @@ class FiniteMetricSpace:
     @property
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n > 1 else 0.0
+
+
+def _point_index(points) -> dict:
+    """{point: its index}; raises RepeatedPoint naming the first point that
+    appears twice."""
+    index = {p: i for i, p in enumerate(points)}
+    if len(index) < len(points):
+        repeat = next(p for i, p in enumerate(points) if index[p] != i)
+        raise RepeatedPoint(f"point {repeat!r} appears more than once")
+    return index
 
 
 def _validate_metric(dist: np.ndarray, atol: float = METRIC_ATOL) -> None:
@@ -99,8 +107,11 @@ def space_from_edges(points, edges) -> FiniteMetricSpace:
     edges: iterable of (u, v, weight) with positive weights.  Raises
     DisconnectedGraph if some pair is unreachable.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     points = tuple(points)
-    index = {p: i for i, p in enumerate(points)}
+    index = _point_index(points)
     n = len(points)
     rows, cols, data = [], [], []
     for u, v, w in edges:
@@ -161,6 +172,9 @@ def is_epsilon_geodesic(space: FiniteMetricSpace, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     d = space.dist
     hop = np.where(is_hop(d, eps), d, np.inf)
     hop = np.minimum(hop, hop.T)

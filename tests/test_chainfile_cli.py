@@ -116,6 +116,125 @@ def test_graph_metric_round_trip(tmp_path):
     assert chain.space.dist[i, j] == 3.0
 
 
+def test_parse_rejects_repeated_kernel_target(runner, tmp_path):
+    """A row that lists a target twice is an error naming the row and the
+    target, not a row whose last entry wins: row b holds 1.5 of mass."""
+    doc = {"format_version": 1, "points": ["a", "b"],
+           "metric": {"type": "matrix", "payload": [["0.0", "1.0"], ["1.0", "0.0"]]},
+           "kernel": {"a": [["a", "0.5"], ["b", "0.5"]],
+                      "b": [["a", "0.5"], ["b", "0.5"], ["b", "0.5"]]}}
+    with pytest.raises(ChainFileError) as exc:
+        parse_chain(doc)
+    assert str(exc.value) == "field 'kernel.b': target 'b' listed more than once"
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["curvature", str(path)])
+    assert res.exit_code == 2
+    assert "target 'b' listed more than once" in res.output
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "matrix", "payload": [["0.0", "1.0", "2.0"], ["1.0", "0.0", "1.0"],
+                                   ["2.0", "1.0", "0.0"]]},
+    {"type": "graph", "payload": [["a", "b", "1.0"]]},
+])
+def test_parse_rejects_repeated_points(metric):
+    doc = {"format_version": 1, "points": ["a", "a", "b"], "metric": metric,
+           "kernel": {"a": [["a", "1.0"]], "b": [["b", "1.0"]]}}
+    with pytest.raises(ChainFileError) as exc:
+        parse_chain(doc)
+    assert str(exc.value) == "field 'points': point 'a' appears more than once"
+
+
+def _reference_chain_text(chain):
+    """The chain file as json.dump(indent=1) writes its document, built
+    point by point: the writer format_chain replaced."""
+    chain = chainfile.stringify_chain(chain)
+    dense = chain.dense()
+    kernel = {}
+    for i, p in enumerate(chain.space.points):
+        supp = np.nonzero(dense[i] > 0)[0]
+        kernel[p] = [[chain.space.points[j], repr(float(dense[i, j]))] for j in supp]
+    doc = {
+        "format_version": chainfile.FORMAT_VERSION,
+        "points": list(chain.space.points),
+        "metric": {
+            "type": "matrix",
+            "payload": [[repr(float(v)) for v in row] for row in chain.space.dist],
+        },
+        "kernel": kernel,
+    }
+    if chain.dt is not None:
+        doc["dt"] = repr(float(chain.dt))
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _odd_names_chain():
+    """Three points named with a quote, a backslash, a control character,
+    a non-ASCII letter and a character outside the BMP."""
+    x = np.array([0.0, 1.0, 3.0])
+    space = coricci.metric.space_from_matrix(['say "hi"', "back\\slash\x01", "\xe9t\xe9\U0001f600"],
+                                             np.abs(x[:, None] - x[None, :]))
+    return coricci.chain.build_chain(space, [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.1, 0.9]])
+
+
+@pytest.mark.parametrize("preset, params", [
+    ("cube", {"N": 3}),
+    ("discrete_ou", {"N": 4}),
+    ("multinomial", {"N": 3, "d": 2}),
+    ("binomial", {"N": 10, "p": 0.3}),
+    ("glauber", {"graph": "star:5", "beta": 0.3, "h": 0.1}),
+    ("geometric_reflect", {"K": 20}),
+    ("geometric_reset", {"alpha": 0.5, "K": 20}),
+    ("mm_infty", {"lam": 2.0, "mu": 1.0, "dt": 0.01, "K": 20}),
+    ("linear_rates", {"alpha": 1.0, "beta": 1.5, "dt": 1e-3, "K": 40}),
+    ("quadratic_rates", {"a": 1.0, "b": 1.0, "dt": 1e-4, "K": 30, "tail_tol": 1.0}),
+    ("pow2_jump", {"j": 4}),
+    ("odd_names", None),
+])
+def test_chain_file_bytes_match_json_dump(tmp_path, preset, params):
+    """save_chain writes the bytes of json.dump(indent=1) of the file's
+    document, for every gallery preset (with and without dt) and for point
+    names that JSON escapes; dump_chain reads that document back."""
+    if params is None:
+        chain = _odd_names_chain()
+    else:
+        chain = gallery.generate(gallery.PresetSpec(preset, params))
+    path = tmp_path / "chain.json"
+    save_chain(chain, str(path))
+    expected = _reference_chain_text(chain)
+    assert path.read_bytes() == expected.encode()
+    assert dump_chain(chain) == json.loads(expected)
+
+
+def test_commands_without_geodesic_load_no_scipy(tmp_path):
+    """import coricci, `coricci gen` and `coricci curvature` without
+    --geodesic run in a fresh interpreter without importing scipy, and a
+    chain's kernel is a read-only dense array."""
+    path = str(tmp_path / "cube3.json")
+    script = (
+        "import sys, json, coricci, coricci.cli\n"
+        "for argv in (['gen', 'cube', '--n', '3', '-o', sys.argv[1]], ['curvature', sys.argv[1]]):\n"
+        "    try:\n"
+        "        coricci.cli.main.main(args=argv, prog_name='coricci')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coricci.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1]) == []
+    assert json.loads("\n".join(lines[1:-1]))["pairs"]
+    kernel = load_chain(path).kernel
+    assert type(kernel) is np.ndarray and kernel.dtype == np.float64
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+
+
 # ------------------------------------------------------------------- CLI
 
 

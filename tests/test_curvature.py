@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 import coricci as c
 from coricci import transport
@@ -304,13 +303,13 @@ def test_kappa_global_rejects_the_first_row_that_is_no_distribution(row, message
     P = np.full((n, n), 1 / n)
     P[2] = row
     if message is None:
-        assert kappa_global(Chain(space, csr_matrix(P))).pairs
+        assert kappa_global(Chain(space, P.copy())).pairs
         return
     for later in (None, [np.nan, 0.5, 0.5, 0.0, 0.0]):
         if later is not None:
             P[4] = later
         with pytest.raises(ValueError) as exc:
-            kappa_global(Chain(space, csr_matrix(P)))
+            kappa_global(Chain(space, P.copy()))
         assert str(exc.value) == message
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from coricci import transport
-from coricci.errors import DisconnectedGraph, MetricViolation
+from coricci.errors import DisconnectedGraph, MetricViolation, RepeatedPoint
 from coricci.metric import (
     GEODESIC_RTOL,
     METRIC_ATOL,
@@ -63,6 +63,21 @@ def test_nonzero_diagonal_rejected():
 def test_disconnected_graph_rejected():
     with pytest.raises(DisconnectedGraph):
         space_from_edges([0, 1, 2, 3], [(0, 1, 1.0), (2, 3, 1.0)])
+
+
+def test_repeated_point_rejected():
+    """A space names each point once: the matrix, edge-list and direct
+    constructors all name the first point given twice."""
+    points = ["a", "a", "b"]
+    dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for build in (
+        lambda: space_from_matrix(points, dist),
+        lambda: space_from_edges(points, [("a", "b", 1.0)]),
+        lambda: FiniteMetricSpace(tuple(points), dist),
+        lambda: build_space(dist, points=points),
+    ):
+        with pytest.raises(RepeatedPoint, match="point 'a' appears more than once"):
+            build()
 
 
 def test_hamming_cube_from_edges():
