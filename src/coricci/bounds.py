@@ -23,7 +23,7 @@ from .chain import (  # noqa: F401
     max_var_lipschitz,
     row_moments,
 )
-from .curvature import kappa_global
+from .curvature import CHECK_ATOL, Check, kappa_global
 from .errors import (
     DegenerateSupport,
     HypothesisFails,
@@ -39,7 +39,6 @@ from .errors import (
 from .metric import is_epsilon_geodesic
 from .transport import Distribution, w1
 
-CHECK_ATOL = 1e-9
 SPECTRAL_ATOL = 1e-8
 V_SERIES_TOL = 1e-12
 
@@ -51,8 +50,8 @@ def _require_positive_kappa(kappa: float):
         )
 
 
-def _all_local_stats(chain: Chain, mode="exact"):
-    return [local_stats(chain, p, mode) for p in chain.space.points]
+def _all_local_stats(chain: Chain):
+    return [local_stats(chain, p) for p in chain.space.points]
 
 
 def _g_vector(stats) -> np.ndarray:
@@ -66,11 +65,11 @@ class SpectralReport:
     spectral_radius: float
     kappa_used: float
     reversible: bool
-    poincare_applicable: bool
     # max over the random test functions of lhs/rhs, <= 1 when the
     # inequality holds; None when not applicable
     poincare_local_ratio: float | None
     poincare_gradient_ratio: float | None
+    poincare: Check | None  # the larger ratio <= 1; None when not applicable
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def spectral_report(chain: Chain, kappa: float, n_random: int = 20, seed: int = 
             f"Prop. 29: spectral radius {radius!r} exceeds 1 - kappa = {1 - kappa!r}"
         )
 
-    local_ratio = gradient_ratio = None
+    local_ratio = gradient_ratio = poincare = None
     if reversible and kappa > 0:
         rng = np.random.default_rng(seed)
         local_ratio = gradient_ratio = 0.0
@@ -133,16 +132,15 @@ def spectral_report(chain: Chain, kappa: float, n_random: int = 20, seed: int = 
             rhs2 = grad_diss / (2.0 * kappa)
             local_ratio = max(local_ratio, var / (rhs1 + 1e-300))
             gradient_ratio = max(gradient_ratio, var / (rhs2 + 1e-300))
-    return SpectralReport(
-        moduli, radius, kappa, reversible,
-        reversible and kappa > 0, local_ratio, gradient_ratio,
-    )
+        poincare = Check.of(max(local_ratio, gradient_ratio), 1.0)
+    return SpectralReport(moduli, radius, kappa, reversible,
+                          local_ratio, gradient_ratio, poincare)
 
 
 def bonnet_myers(chain: Chain, report=None):
-    """L1 Bonnet-Myers: per-pair d(x,y) <= (J(x)+J(y))/kappa(x,y), the
-    diameter bound 2 sup J / kappa, and Prop. 24's average-distance bounds
-    int d(x,y) dnu(y) <= J(x)/kappa."""
+    """L1 Bonnet-Myers: the Check diam <= 2 sup J / kappa, the per-pair
+    bounds (x, y, d(x,y), (J(x)+J(y))/kappa(x,y)), and Prop. 24's
+    average-distance bounds as (x, Check int d(x,y) dnu(y) <= J(x)/kappa)."""
     if report is None:
         report = kappa_global(chain)
     kappa = report.global_kappa
@@ -156,24 +154,21 @@ def bonnet_myers(chain: Chain, report=None):
     points = space.points
     per_pair = [(points[i], points[j], d, bound) for i, j, d, bound
                 in zip(x.tolist(), y.tolist(), space.dist[x, y].tolist(), pair_bounds)]
-    diam_bound = 2.0 * J.max() / kappa
-    diam_actual = space.diameter
+    diameter = Check.of(space.diameter, 2.0 * J.max() / kappa)
 
     nu, _rev, _unique = invariant_distribution(chain)
     avg_dist = space.dist @ nu.weights  # int d(x,y) dnu(y) per x
-    avg_bounds = [
-        (space.points[i], float(avg_dist[i]), float(J[i] / kappa))
-        for i in range(space.n)
-    ]
-    return diam_bound, diam_actual, per_pair, avg_bounds
+    avg_bounds = [(p, Check.of(lhs, rhs)) for p, lhs, rhs
+                  in zip(points, avg_dist.tolist(), (J / kappa).tolist())]
+    return diameter, per_pair, avg_bounds
 
 
-def _variance_rhs(chain: Chain, kappa: float, n_x_mode="exact") -> float:
+def _variance_rhs(chain: Chain, kappa: float) -> float:
     """The right-hand side sigma^2 / (n kappa (2 - kappa)) of Prop. 31, with
     sigma^2 the nu-average of sigma(x)^2 and n = inf_x n_x."""
     _require_positive_kappa(kappa)
     nu, _rev, _unique = invariant_distribution(chain)
-    stats = _all_local_stats(chain, n_x_mode)
+    stats = _all_local_stats(chain)
     sigma2 = float(nu.weights @ np.array([s.sigma2 for s in stats]))
     finite_n = [s.n_x for s in stats if s.n_x is not None]
     if not finite_n:
@@ -183,39 +178,39 @@ def _variance_rhs(chain: Chain, kappa: float, n_x_mode="exact") -> float:
     return sigma2 / (n_inf * kappa * (2.0 - kappa))
 
 
-def variance_bound(chain: Chain, kappa: float, n_x_mode="exact"):
+def variance_bound(chain: Chain, kappa: float):
     """Prop. 31: 1-Lipschitz variance under nu is at most
     sigma^2 / (n kappa (2 - kappa)) with n = inf_x n_x.
 
-    Returns (bound, maxVar(nu), StatDim).  maxVar(nu) is exact up to
-    EXACT_SUPPORT_CAP support points and a heuristic lower bound beyond;
-    InequalityFails is raised when it exceeds the bound."""
-    bound = _variance_rhs(chain, kappa, n_x_mode)
+    Returns (the Check maxVar(nu) <= bound, StatDim).  maxVar(nu) is exact
+    up to EXACT_SUPPORT_CAP support points and a heuristic lower bound
+    beyond; InequalityFails is raised when it exceeds the bound."""
+    bound = _variance_rhs(chain, kappa)
     nu, _rev, _unique = invariant_distribution(chain)
     mode = "exact" if len(nu.support()) <= EXACT_SUPPORT_CAP else "heuristic"
     extremal_var = invariant_max_var(chain, mode)
     # StatDim(X, d, nu): the spread of nu over its maximal Lipschitz variance.
     w = nu.weights
     statdim = 0.5 * float(w @ chain.space.dist ** 2 @ w) / extremal_var
-    if extremal_var > bound + CHECK_ATOL:
+    check = Check.of(extremal_var, bound)
+    if not check.holds:
         raise InequalityFails(
             f"Prop. 31: extremal Lipschitz variance {extremal_var!r} exceeds "
             f"sigma^2 / (n kappa (2 - kappa)) = {bound!r}"
         )
-    return bound, extremal_var, statdim
+    return check, statdim
 
 
 def variance_holds(chain: Chain, kappa: float) -> bool:
     """Prop. 31 decided as verify reports it: True when the certified upper
-    bound on maxVar(nu) (chain.invariant_max_var_upper) is within CHECK_ATOL
-    of the bound, which needs no search over Lipschitz functions.
-    Otherwise the check falls back to variance_bound, which computes
-    maxVar(nu) and raises InequalityFails when it exceeds the bound."""
-    bound = _variance_rhs(chain, kappa)
-    if invariant_max_var_upper(chain) <= bound + CHECK_ATOL:
-        return True
-    bound, extremal_var, _statdim = variance_bound(chain, kappa)
-    return extremal_var <= bound + CHECK_ATOL
+    bound on maxVar(nu) (chain.invariant_max_var_upper) satisfies the bound,
+    which needs no search over Lipschitz functions.  Otherwise the check
+    falls back to variance_bound, which computes maxVar(nu) and raises
+    InequalityFails when it exceeds the bound, so True is the only value
+    returned."""
+    if not Check.of(invariant_max_var_upper(chain), _variance_rhs(chain, kappa)).holds:
+        variance_bound(chain, kappa)
+    return True
 
 
 def gaussian_concentration(chain: Chain, f, kappa: float, n_grid: int = 50) -> ConcentrationReport:
@@ -320,7 +315,11 @@ def commutation_check(chain: Chain, f, lam: float, kappa: float, U: float):
 
 def log_sobolev_check(chain: Chain, f, lam: float, kappa: float, U: float):
     """Thm. 40: the variance and entropy inequalities with the sup constant,
-    the reversible V(x)-weighted forms, and Remark 41's bound on V."""
+    the reversible V(x)-weighted forms, and Remark 41's bound on V.
+
+    Returns (variance Check, entropy Check, V, holds): the two Checks with
+    the sup constant, the profile V (None unless the chain is reversible),
+    and whether every one of these inequalities holds."""
     _require_positive_kappa(kappa)
     if lam > admissible_lambda(chain, U) + 1e-12:
         raise LambdaTooLarge(
@@ -335,12 +334,11 @@ def log_sobolev_check(chain: Chain, f, lam: float, kappa: float, U: float):
     sup_const = 4.0 * g.max() / kappa
 
     Df = range_gradient(chain.space, f, lam)
-    var_lhs = nu.variance(f)
-    var_rhs = sup_const * float(nu.weights @ Df ** 2)
     mean = nu.mean(f)
-    ent_lhs = float(nu.weights @ (f * np.log(f))) - mean * np.log(mean)
-    ent_rhs = sup_const * float(nu.weights @ (Df ** 2 / f))
-    holds = var_lhs <= var_rhs + CHECK_ATOL and ent_lhs <= ent_rhs + CHECK_ATOL
+    variance = Check.of(nu.variance(f), sup_const * float(nu.weights @ Df ** 2))
+    entropy = Check.of(float(nu.weights @ (f * np.log(f))) - mean * np.log(mean),
+                       sup_const * float(nu.weights @ (Df ** 2 / f)))
+    holds = variance.holds and entropy.holds
 
     v_profile = None
     if reversible:
@@ -356,12 +354,10 @@ def log_sobolev_check(chain: Chain, f, lam: float, kappa: float, U: float):
             term = averaging(chain, term)
             V += 2.0 * weight * term
         v_profile = V
-        v_var_rhs = float(nu.weights @ (V * Df ** 2))
-        v_ent_rhs = float(nu.weights @ (V * Df ** 2 / f))
         holds = (
             holds
-            and var_lhs <= v_var_rhs + CHECK_ATOL
-            and ent_lhs <= v_ent_rhs + CHECK_ATOL
+            and Check.of(variance.lhs, float(nu.weights @ (V * Df ** 2))).holds
+            and Check.of(entropy.lhs, float(nu.weights @ (V * Df ** 2 / f))).holds
         )
         # Remark 41: V(x) <= (4/kappa) int g dnu + 2 C J(x)/kappa with C the
         # Lipschitz constant of g/kappa.
@@ -369,7 +365,7 @@ def log_sobolev_check(chain: Chain, f, lam: float, kappa: float, U: float):
         J = np.array([s.J for s in stats])
         v_bound = 4.0 / kappa * float(nu.weights @ g) + 2.0 * C * J / kappa
         holds = holds and bool(np.all(V <= v_bound + CHECK_ATOL))
-    return var_lhs, var_rhs, ent_lhs, ent_rhs, v_profile, holds
+    return variance, entropy, v_profile, holds
 
 
 def exponential_concentration(chain: Chain, o, r: float, s: float | None = None) -> ExpConcentrationReport:
@@ -411,13 +407,13 @@ def exponential_concentration(chain: Chain, o, r: float, s: float | None = None)
     rhs = (4.0 + J_o ** 2 / s ** 2) * np.exp(m / D)
     lemma45 = bool(np.all(pull[d_o >= r] >= rho - CHECK_ATOL))
     return ExpConcentrationReport(
-        o, r, s, rho, D, m, lhs, rhs, lhs <= rhs + CHECK_ATOL, lemma45
+        o, r, s, rho, D, m, lhs, rhs, Check.of(lhs, rhs).holds, lemma45
     )
 
 
 def average_l2_bonnet_myers(chain: Chain, o, r: float, kappa: float):
-    """Prop. 50: int d(o,x) dnu <= sqrt((1/kappa) int sigma^2/n dnu) + 5r,
-    under the attracting-annulus hypothesis int d(o,y) dm_x <= d(o,x)."""
+    """Prop. 50, the Check int d(o,x) dnu <= sqrt((1/kappa) int sigma^2/n dnu)
+    + 5r, under the attracting-annulus hypothesis int d(o,y) dm_x <= d(o,x)."""
     _require_positive_kappa(kappa)
     space = chain.space
     ok, witness = is_epsilon_geodesic(space, r)
@@ -434,6 +430,5 @@ def average_l2_bonnet_myers(chain: Chain, o, r: float, kappa: float):
         )
     nu, _rev, _unique = invariant_distribution(chain)
     g = _g_vector(_all_local_stats(chain))
-    lhs = float(nu.weights @ d_o)
-    rhs = float(np.sqrt(nu.weights @ g / kappa) + 5.0 * r)
-    return lhs, rhs, lhs <= rhs + CHECK_ATOL
+    return Check.of(float(nu.weights @ d_o),
+                    float(np.sqrt(nu.weights @ g / kappa) + 5.0 * r))

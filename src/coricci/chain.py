@@ -77,8 +77,7 @@ class LocalStats:
     sigma2: float
     sigma_inf: float
     n_x: float | None  # None when the row is a Dirac mass
-    certificate: str  # n_x is "exact" | an "upper-bound" (heuristic maxVar) | "undefined"
-    D2: float | None = None  # sigma2 / (n_x * kappa), filled by bounds
+    certificate: str  # n_x is "exact" | "undefined"
 
 
 def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
@@ -351,36 +350,30 @@ def _row_moments(chain: Chain):
     return J, sigma2, sigma_inf
 
 
-def local_stats(chain: Chain, x, n_x_mode="exact") -> LocalStats:
+def local_stats(chain: Chain, x) -> LocalStats:
     """Jump, spread, granularity and local dimension at x (Def. 18),
-    computed once per chain, point and n_x mode.  The maxVar behind n_x is
-    computed once per chain and mode for each distinct row problem: rows
-    whose weights and distances on their supports are equal bytes, in
-    support order, share it.  Rows equal only up to an isometry do not,
-    because solving a permuted copy can change the last digits of n_x."""
+    computed once per chain and point.  n_x comes from the exact maxVar of
+    the row, which is computed once per chain for each distinct row
+    problem: rows whose weights and distances on their supports are equal
+    bytes, in support order, share it.  Rows equal only up to an isometry do
+    not, because solving a permuted copy can change the last digits of n_x.
+    A row of more than EXACT_SUPPORT_CAP support points raises
+    SupportTooLarge."""
     i = chain.space.index(x)
-    return chain._cached(("local_stats", i, n_x_mode),
-                         lambda: _local_stats(chain, i, n_x_mode))
+    return chain._cached(("local_stats", i), lambda: _local_stats(chain, i))
 
 
-def _local_stats(chain: Chain, i: int, n_x_mode) -> LocalStats:
+def _local_stats(chain: Chain, i: int) -> LocalStats:
     J, sigma2, sigma_inf = (float(v[i]) for v in row_moments(chain))
     row = chain.dense()[i]
     supp = np.nonzero(row > 0)[0]
     if len(supp) < 2:
         return LocalStats(J, sigma2, sigma_inf, None, "undefined")
     dist = chain.space.dist[np.ix_(supp, supp)]
-    key = ("row_max_var", n_x_mode, row[supp].tobytes(), dist.tobytes())
-
-    def solve():
-        value, _f, cert = max_var_lipschitz(chain.space, Distribution(row), n_x_mode)
-        return value, cert
-
-    max_var, cert = chain._cached(key, solve)
-    # In heuristic mode max_var is a lower bound, so n_x is an upper bound.
-    n_x = sigma2 / max_var
-    return LocalStats(J, sigma2, sigma_inf, n_x,
-                      "exact" if cert == "exact" else "upper-bound")
+    key = ("row_max_var", row[supp].tobytes(), dist.tobytes())
+    max_var = chain._cached(
+        key, lambda: max_var_lipschitz(chain.space, Distribution(row))[0])
+    return LocalStats(J, sigma2, sigma_inf, sigma2 / max_var, "exact")
 
 
 def invariant_max_var(chain: Chain, mode="exact") -> float:

@@ -21,10 +21,12 @@ def _fmt(x: float) -> str:
 def stringify_chain(chain: Chain) -> Chain:
     """Rename points to their string form (file identities) keeping the
     metric and kernel bit-identical."""
-    points = [str(p) for p in chain.space.points]
-    if len(set(points)) != len(points):
-        raise ChainFileError("point string identifiers collide")
-    space = FiniteMetricSpace(tuple(points), chain.space.dist)
+    names = {}
+    for p in chain.space.points:
+        if (first := names.setdefault(str(p), p)) is not p:
+            raise ChainFileError(f"point string identifiers collide: {first!r} and {p!r} "
+                                 f"are both written {str(p)!r}")
+    space = FiniteMetricSpace(tuple(names), chain.space.dist)
     return Chain(space, chain.kernel, chain.dt)
 
 
@@ -71,8 +73,10 @@ def dump_chain(chain: Chain) -> dict:
 
 
 def save_chain(chain: Chain, path: str) -> None:
+    """Write the chain file; a chain that cannot be written leaves no file."""
+    text = format_chain(chain)
     with open(path, "w") as fh:
-        fh.write(format_chain(chain))
+        fh.write(text)
 
 
 def parse_chain(doc: dict) -> Chain:
@@ -114,6 +118,10 @@ def parse_chain(doc: dict) -> Chain:
         raise ChainFileError("field 'kernel': expected an object")
     rows = {}
     for p, entries in kernel.items():
+        if not (isinstance(entries, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+            raise ChainFileError(
+                f"field 'kernel.{p}': expected a list of [target, prob] pairs")
         try:
             row = rows[p] = {target: float(prob) for target, prob in entries}
         except (TypeError, ValueError) as exc:

@@ -326,18 +326,15 @@ def spectral(chain_file, geodesic, fmt):
         "spectral_radius": sp.spectral_radius,
         "kappa_used": sp.kappa_used,
         "reversible": sp.reversible,
-        "poincare_applicable": sp.poincare_applicable,
+        "poincare_applicable": sp.poincare is not None,
         "poincare_local_ratio": sp.poincare_local_ratio,
         "poincare_gradient_ratio": sp.poincare_gradient_ratio,
         "eigenvalue_moduli": [float(v) for v in sp.eigenvalue_moduli],
     }
     _emit(doc, rows, fmt)
-    ok = sp.kappa_used <= 0 or sp.spectral_radius <= 1 - sp.kappa_used + 1e-8
-    if sp.poincare_applicable:
-        ok = ok and max(sp.poincare_local_ratio, sp.poincare_gradient_ratio) <= 1 + 1e-9
-    if not ok:
-        _echo("check failed: spectral radius / Poincare", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+    # spectral_report has raised InequalityFails if the radius exceeds 1 - kappa.
+    if sp.poincare is not None and not sp.poincare.holds:
+        raise InequalityFails("spectral radius / Poincare")
 
 
 @main.command(name="bounds")
@@ -349,33 +346,25 @@ def bounds_cmd(chain_file, geodesic, fmt):
     """Bonnet-Myers diameter bounds and the Prop. 31 variance bound."""
     chain = chainfile.load_chain(chain_file)
     rep = _report(chain, geodesic)
-    diam_bound, diam_actual, per_pair, avg = bounds_mod.bonnet_myers(chain, rep)
-    var_bound, extremal, statdim = bounds_mod.variance_bound(
-        chain, rep.global_kappa)
-    rows = [
-        {"check": "diameter", "lhs": diam_actual, "rhs": diam_bound,
-         "holds": diam_actual <= diam_bound + 1e-9},
-        {"check": "variance", "lhs": extremal, "rhs": var_bound,
-         "holds": extremal <= var_bound + 1e-9},
-    ]
-    for point, lhs, rhs in avg:
-        rows.append({"check": f"avg_dist[{point}]", "lhs": lhs, "rhs": rhs,
-                     "holds": lhs <= rhs + 1e-9})
+    diameter, _per_pair, avg = bounds_mod.bonnet_myers(chain, rep)
+    variance, statdim = bounds_mod.variance_bound(chain, rep.global_kappa)
+    rows = [{"check": "diameter", **diameter._asdict()},
+            {"check": "variance", **variance._asdict()}]
+    rows += [{"check": f"avg_dist[{p}]", **c._asdict()} for p, c in avg]
     doc = {
         "global_kappa": rep.global_kappa,
-        "diameter_bound": diam_bound,
-        "diameter_actual": diam_actual,
-        "variance_bound": var_bound,
-        "extremal_lipschitz_variance": extremal,
+        "diameter_bound": diameter.rhs,
+        "diameter_actual": diameter.lhs,
+        "variance_bound": variance.rhs,
+        "extremal_lipschitz_variance": variance.lhs,
         "statdim": statdim,
         "average_distance_bounds": [
-            {"point": str(p), "lhs": l, "rhs": r} for p, l, r in avg],
+            {"point": str(p), "lhs": c.lhs, "rhs": c.rhs} for p, c in avg],
     }
     _emit(doc, rows, fmt)
-    if not all(r["holds"] for r in rows):
-        failing = next(r["check"] for r in rows if not r["holds"])
-        _echo(f"check failed: {failing}", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+    failing = next((r["check"] for r in rows if not r["holds"]), None)
+    if failing is not None:
+        raise InequalityFails(failing)
 
 
 @main.command()
@@ -404,8 +393,7 @@ def concentration(chain_file, geodesic, origin, fmt):
                        "discretized sigma^2_disc/dt convention")
     _emit(doc, rows, fmt)
     if not conc.holds:
-        _echo("check failed: exact tail exceeds Thm. 32 bound", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+        raise InequalityFails("exact tail exceeds Thm. 32 bound")
 
 
 @main.command()
@@ -425,23 +413,21 @@ def logsobolev(chain_file, geodesic, lam, seed, fmt):
         lam = bounds_mod.admissible_lambda(chain, U)
     rng = np.random.default_rng(seed)
     f = np.exp(rng.normal(size=chain.n))
-    var_lhs, var_rhs, ent_lhs, ent_rhs, _v, holds = bounds_mod.log_sobolev_check(
+    variance, entropy, _v, holds = bounds_mod.log_sobolev_check(
         chain, f, lam, rep.global_kappa, U)
     violations = bounds_mod.commutation_check(chain, f, lam, rep.global_kappa, U)
     rows = [
-        {"check": "variance", "lhs": var_lhs, "rhs": var_rhs,
-         "holds": var_lhs <= var_rhs + 1e-9},
-        {"check": "entropy", "lhs": ent_lhs, "rhs": ent_rhs,
-         "holds": ent_lhs <= ent_rhs + 1e-9},
+        {"check": "variance", **variance._asdict()},
+        {"check": "entropy", **entropy._asdict()},
         {"check": "commutation", "lhs": len(violations), "rhs": 0,
          "holds": not violations},
     ]
+    holds = holds and not violations
     doc = {"lambda": lam, "U": U, "global_kappa": rep.global_kappa,
-           "holds": holds and not violations, "checks": rows}
+           "holds": holds, "checks": rows}
     _emit(doc, rows, fmt)
-    if not (holds and not violations):
-        _echo("check failed: log-Sobolev / commutation", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+    if not holds:
+        raise InequalityFails("log-Sobolev / commutation")
 
 
 @main.command()
@@ -462,8 +448,7 @@ def expconc(chain_file, origin, radius, s, fmt):
     rows = [{"field": k, "value": v} for k, v in doc.items()]
     _emit(doc, rows, fmt)
     if not (rep.holds and rep.lemma45_holds):
-        _echo("check failed: Thm. 44 moment bound / Lemma 45 pull", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+        raise InequalityFails("Thm. 44 moment bound / Lemma 45 pull")
 
 
 def _verify_checks(chain, geodesic):
@@ -472,16 +457,14 @@ def _verify_checks(chain, geodesic):
     kappa = rep.global_kappa
     checks.append(("global_kappa_positive", kappa > 0))
     sp = bounds_mod.spectral_report(chain, kappa)
-    ok = kappa <= 0 or sp.spectral_radius <= 1 - kappa + 1e-8
-    checks.append(("spectral_radius_le_1_minus_kappa", ok))
-    if sp.poincare_applicable:
-        checks.append(("poincare", max(sp.poincare_local_ratio,
-                                       sp.poincare_gradient_ratio) <= 1 + 1e-9))
+    # spectral_report has raised InequalityFails if the radius exceeds 1 - kappa.
+    checks.append(("spectral_radius_le_1_minus_kappa", True))
+    if sp.poincare is not None:
+        checks.append(("poincare", sp.poincare.holds))
     if kappa > 0:
-        diam_bound, diam_actual, _pp, avg = bounds_mod.bonnet_myers(chain, rep)
-        checks.append(("bonnet_myers_diameter", diam_actual <= diam_bound + 1e-9))
-        checks.append(("bonnet_myers_average",
-                       all(l <= r + 1e-9 for _p, l, r in avg)))
+        diameter, _pp, avg = bounds_mod.bonnet_myers(chain, rep)
+        checks.append(("bonnet_myers_diameter", diameter.holds))
+        checks.append(("bonnet_myers_average", all(c.holds for _p, c in avg)))
         checks.append(("variance_bound", bounds_mod.variance_holds(chain, kappa)))
         f = chain.space.dist[:, 0]
         conc = bounds_mod.gaussian_concentration(chain, f, kappa)
@@ -512,9 +495,7 @@ def verify(chain_file, run_all, geodesic, fmt):
            "all_pass": all(h for _n, h in checks)}
     _emit(doc, rows, fmt)
     if not doc["all_pass"]:
-        failing = next(n for n, h in checks if not h)
-        _echo(f"check failed: {failing}", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+        raise InequalityFails(next(n for n, h in checks if not h))
 
 
 @main.command()

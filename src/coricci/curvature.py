@@ -8,6 +8,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,21 @@ from .errors import NoPairs, NotGeodesic, SamePoint
 from .metric import is_epsilon_geodesic, is_hop
 from .transport import MASS_ATOL, Distribution, plan_parts, w1, w1_pairs
 
-KAPPA_ATOL = 1e-9
+# Every Check is decided within this tolerance.
+CHECK_ATOL = 1e-9
+
+
+class Check(NamedTuple):
+    """One inequality lhs <= rhs of the paper, decided once: holds is
+    lhs <= rhs + CHECK_ATOL.  Build it with Check.of(lhs, rhs)."""
+
+    lhs: float
+    rhs: float
+    holds: bool
+
+    @classmethod
+    def of(cls, lhs, rhs) -> Check:
+        return cls(lhs, rhs, bool(lhs <= rhs + CHECK_ATOL))
 
 
 @dataclass(frozen=True)
@@ -179,8 +194,9 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
                            float(kappas.min()), mode_str, delta)
 
 
-def contraction_check(chain: Chain, mu: Distribution, nu: Distribution, kappa_bound: float):
-    """W1(mu*m, nu*m) <= (1 - kappa) W1(mu, nu) + 1e-9 (the contraction
+def contraction_check(chain: Chain, mu: Distribution, nu: Distribution,
+                      kappa_bound: float) -> Check:
+    """The Check W1(mu*m, nu*m) <= (1 - kappa) W1(mu, nu) (the contraction
     characterization of a curvature lower bound)."""
     space = chain.space
     lhs = w1(
@@ -189,4 +205,4 @@ def contraction_check(chain: Chain, mu: Distribution, nu: Distribution, kappa_bo
         space,
     ).cost
     rhs = (1.0 - kappa_bound) * w1(mu, nu, space).cost
-    return lhs, rhs, lhs <= rhs + KAPPA_ATOL
+    return Check.of(lhs, rhs)

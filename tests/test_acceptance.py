@@ -66,8 +66,8 @@ def test_criterion_2_spectral_sharpness(
 def test_criterion_3_bonnet_myers_sharpness(cube6, ou8, kappa_cache):
     """cube(6) diameter bound 2 sup J / kappa = 6 = diameter;
     discrete_ou(8) bound 16 = diameter."""
-    db6, da6, _pp, _avg = c.bonnet_myers(cube6, kappa_cache(cube6))
-    db8, da8, _pp8, _avg8 = c.bonnet_myers(ou8, kappa_cache(ou8))
+    (da6, db6, _h6), _pp, _avg = c.bonnet_myers(cube6, kappa_cache(cube6))
+    (da8, db8, _h8), _pp8, _avg8 = c.bonnet_myers(ou8, kappa_cache(ou8))
     ok = (
         abs(db6 - 6.0) < 1e-9 and da6 == 6.0
         and abs(db8 - 16.0) < 1e-9 and da8 == 16.0
@@ -81,7 +81,7 @@ def test_criterion_4_variance(binom40):
     is within 10% of lambda = 2."""
     lam = 2.0
     N = 40
-    bound, extremal, _sd = c.variance_bound(binom40, 1 / N)
+    (extremal, bound, _holds), _sd = c.variance_bound(binom40, 1 / N)
     nu, _r, _u = invariant_distribution(binom40)
     exact = nu.variance(np.arange(N + 1, dtype=float))
     ok = (

@@ -40,7 +40,7 @@ def test_spectral_cube5_sharp(cube5):
     rep = bounds.spectral_report(cube5, 1 / 5)
     assert rep.spectral_radius == pytest.approx(1 - 1 / 5, abs=1e-9)
     assert len(rep.eigenvalue_moduli) == 31
-    assert rep.reversible and rep.poincare_applicable
+    assert rep.reversible and rep.poincare.holds
 
 
 def test_spectral_two_point_symmetric():
@@ -60,14 +60,14 @@ def test_poincare_ratios_hold(cube4, binom20, kappa_cache):
     for chain in (cube4, binom20):
         k = kappa_cache(chain).global_kappa
         rep = bounds.spectral_report(chain, k)
-        assert rep.poincare_applicable
+        assert rep.poincare.holds
         assert rep.poincare_local_ratio <= 1 + 1e-9
         assert rep.poincare_gradient_ratio <= 1 + 1e-9
 
 
 def test_poincare_not_applicable_nonreversible(reset_chain):
     rep = bounds.spectral_report(reset_chain, 0.5)
-    assert not rep.reversible and not rep.poincare_applicable
+    assert not rep.reversible and rep.poincare is None
     assert rep.poincare_local_ratio is None
     assert rep.poincare_gradient_ratio is None
 
@@ -76,20 +76,20 @@ def test_poincare_not_applicable_nonreversible(reset_chain):
 
 
 def test_bonnet_myers_cube6_sharp(cube6, kappa_cache):
-    diam_bound, diam_actual, per_pair, avg_bounds = c.bonnet_myers(
+    (diam_actual, diam_bound, holds), per_pair, avg_bounds = c.bonnet_myers(
         cube6, kappa_cache(cube6)
     )
-    assert diam_actual == 6.0
+    assert diam_actual == 6.0 and holds
     assert diam_bound == pytest.approx(6.0, abs=1e-9)
     assert all(d <= b + 1e-9 for _x, _y, d, b in per_pair)
-    assert all(avg <= b + 1e-9 for _x, avg, b in avg_bounds)
+    assert all(avg <= b + 1e-9 and ok for _x, (avg, b, ok) in avg_bounds)
 
 
 def test_bonnet_myers_ou8_sharp(ou8, kappa_cache):
-    diam_bound, diam_actual, _pp, avg_bounds = c.bonnet_myers(ou8, kappa_cache(ou8))
-    assert diam_actual == 16.0
+    (diam_actual, diam_bound, holds), _pp, avg_bounds = c.bonnet_myers(ou8, kappa_cache(ou8))
+    assert diam_actual == 16.0 and holds
     assert diam_bound == pytest.approx(16.0, abs=1e-9)
-    assert all(avg <= b + 1e-9 for _x, avg, b in avg_bounds)
+    assert all(avg <= b + 1e-9 and ok for _x, (avg, b, ok) in avg_bounds)
 
 
 def test_bonnet_myers_needs_positive_kappa():
@@ -102,7 +102,8 @@ def test_bonnet_myers_needs_positive_kappa():
 
 
 def test_variance_bound_binomial40(binom40):
-    bound, extremal, statdim = c.variance_bound(binom40, 1 / 40)
+    (extremal, bound, holds), statdim = c.variance_bound(binom40, 1 / 40)
+    assert holds
     # Binomial(40, 1/20) has variance 2 * (1 - 1/20) = 1.9, achieved by the
     # identity (1-Lipschitz on the line), so the bound must be nearly sharp.
     nu, _r, _u = invariant_distribution(binom40)
@@ -115,7 +116,7 @@ def test_variance_bound_binomial40(binom40):
 
 
 def test_variance_bound_two_point(two_point_mixing):
-    bound, extremal, _sd = c.variance_bound(two_point_mixing, 1.0)
+    (extremal, bound, _holds), _sd = c.variance_bound(two_point_mixing, 1.0)
     assert extremal == pytest.approx(0.25, abs=1e-12)
     assert bound == pytest.approx(0.25, abs=1e-9)
 
@@ -232,10 +233,9 @@ def test_log_sobolev_two_point():
     chain = build_chain(TWO_POINT, np.array([[1 - p, p], [1 - p, p]]))
     lam = 0.9 * admissible_lambda(chain, 0.0)
     f = np.array([1.0, 2.0])
-    var_lhs, var_rhs, ent_lhs, ent_rhs, v_profile, holds = c.log_sobolev_check(
-        chain, f, lam, 1.0, 0.0
-    )
-    assert holds
+    (var_lhs, var_rhs, var_holds), (ent_lhs, ent_rhs, ent_holds), v_profile, holds = (
+        c.log_sobolev_check(chain, f, lam, 1.0, 0.0))
+    assert holds and var_holds and ent_holds
     # sup constant 4 sigma^2 / (n kappa) = 4 p (1-p) here
     Df = c.range_gradient(TWO_POINT, f, lam)
     assert var_rhs == pytest.approx(
@@ -397,7 +397,6 @@ def _every_bound(get_chain, origin, r):
     calls = {
         "invariant": lambda ch: invariant_distribution(ch),
         "stats_exact": lambda ch: [local_stats(ch, p) for p in points],
-        "stats_heuristic": lambda ch: [local_stats(ch, p, "heuristic") for p in points],
         "spectral": lambda ch: bounds.spectral_report(ch, kappa),
         "bonnet_myers": lambda ch: bounds.bonnet_myers(ch),
         "variance": lambda ch: bounds.variance_bound(ch, kappa),

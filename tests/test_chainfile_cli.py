@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -131,6 +133,42 @@ def test_parse_rejects_repeated_kernel_target(runner, tmp_path):
     res = runner.invoke(main, ["curvature", str(path)])
     assert res.exit_code == 2
     assert "target 'b' listed more than once" in res.output
+
+
+@pytest.mark.parametrize("kernel, row", [
+    ({"a": ["a1"], "b": {"b1": "x"}}, "a"),
+    ({"a": [["a", "1.0"]], "b": {"b1": "x"}}, "b"),
+    ({"a": [["a", "1.0"]], "b": [["b", "1.0", "x"]]}, "b"),
+    ({"a": [["a", "1.0"]], "b": "b1"}, "b"),
+])
+def test_parse_rejects_kernel_entries_that_are_not_pairs(runner, tmp_path, kernel, row):
+    """A kernel row is a list of [target, prob] lists.  A two-character
+    string or an object's keys is not: the first document used to load as
+    the identity kernel, row a read as [["a", "1"]] from the string "a1"."""
+    doc = {"format_version": 1, "points": ["a", "b"],
+           "metric": {"type": "matrix", "payload": [["0.0", "1.0"], ["1.0", "0.0"]]},
+           "kernel": kernel}
+    message = f"field 'kernel.{row}': expected a list of [target, prob] pairs"
+    with pytest.raises(ChainFileError) as exc:
+        parse_chain(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["curvature", str(path)])
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
+
+
+def test_save_names_the_points_whose_names_collide(tmp_path):
+    """A chain file names points by their strings, so the points 1 and "1"
+    cannot both be written; the error names them and writes no file."""
+    space = coricci.metric.space_from_matrix([1, "1"], [[0.0, 1.0], [1.0, 0.0]])
+    chain = coricci.chain.build_chain(space, np.full((2, 2), 0.5))
+    path = tmp_path / "collide.json"
+    with pytest.raises(ChainFileError) as exc:
+        save_chain(chain, str(path))
+    assert str(exc.value) == (
+        "point string identifiers collide: 1 and '1' are both written '1'")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("metric", [
@@ -477,6 +515,117 @@ def test_failed_inequality_is_exit_1(runner, tmp_path, monkeypatch):
     assert "check failed: Prop. 29" in res.output
 
 
+def _claim_reversible(monkeypatch):
+    """bounds reads every chain as reversible, so the Cor. 30 Poincare
+    inequalities are checked where their hypothesis fails: on the
+    non-reversible reset walk their local ratio is about 1.5."""
+    invariant = coricci.bounds.invariant_distribution
+
+    def claimed(chain):
+        nu, _reversible, unique = invariant(chain)
+        return nu, True, unique
+
+    monkeypatch.setattr(coricci.bounds, "invariant_distribution", claimed)
+
+
+def _jumps(scale_first, scale_rest):
+    """A patch of the jumps J(x) that bounds reads: J at the first point
+    times scale_first, every other J times scale_rest."""
+    def patch(monkeypatch):
+        moments = coricci.bounds.row_moments
+
+        def scaled(chain):
+            J, sigma2, sigma_inf = moments(chain)
+            scale = np.full(len(J), scale_rest)
+            scale[0] = scale_first
+            return J * scale, sigma2, sigma_inf
+
+        monkeypatch.setattr(coricci.bounds, "row_moments", scaled)
+    return patch
+
+
+def _shrink_g(monkeypatch):
+    """g = sigma^2 / n_x a thousand times too small in bounds, which shrinks
+    the right-hand sides of Thm. 40."""
+    g_vector = coricci.bounds._g_vector
+    monkeypatch.setattr(coricci.bounds, "_g_vector", lambda stats: 1e-3 * g_vector(stats))
+
+
+def _report_fails(name, **fields):
+    """A patch of the bound name that sets fields of the report it returns."""
+    def patch(monkeypatch):
+        report = getattr(coricci.bounds, name)
+        monkeypatch.setattr(coricci.bounds, name,
+                            lambda *args: dataclasses.replace(report(*args), **fields))
+    return patch
+
+
+# (chain preset and options, command, patch, the stderr line of the failure,
+# what the JSON report shows of it)
+RESET = ("geometric_reset", "--alpha", "0.5", "--k", "20")
+CUBE3 = ("cube", "--n", "3")
+EXPCONC = ["expconc", "--origin", "0", "--radius", "2"]
+FORCED_EXIT_1 = {
+    "spectral-poincare": (
+        RESET, ["spectral"], _claim_reversible, "spectral radius / Poincare",
+        lambda doc: max(doc["poincare_local_ratio"], doc["poincare_gradient_ratio"]) > 1),
+    "verify-poincare": (
+        RESET, ["verify", "--all"], _claim_reversible, "poincare",
+        lambda doc: not doc["all_pass"]),
+    "bounds-diameter": (
+        CUBE3, ["bounds", "--geodesic", "1"], _jumps(0.5, 0.5), "diameter",
+        lambda doc: doc["diameter_actual"] > doc["diameter_bound"]),
+    "bounds-avg-dist": (
+        CUBE3, ["bounds", "--geodesic", "1"], _jumps(0.0, 1.0), "avg_dist[(0, 0, 0)]",
+        lambda doc: doc["average_distance_bounds"][0]["lhs"]
+        > doc["average_distance_bounds"][0]["rhs"]),
+    "logsobolev": (
+        CUBE3, ["logsobolev", "--geodesic", "1"], _shrink_g, "log-Sobolev / commutation",
+        lambda doc: not (doc["holds"] or doc["checks"][0]["holds"])),
+    "concentration": (
+        CUBE3, ["concentration", "--geodesic", "1"],
+        _report_fails("gaussian_concentration", holds=False),
+        "exact tail exceeds Thm. 32 bound", lambda doc: not doc["holds"]),
+    "expconc-moment": (
+        RESET, EXPCONC, _report_fails("exponential_concentration", holds=False),
+        "Thm. 44 moment bound / Lemma 45 pull", lambda doc: not doc["holds"]),
+    "expconc-lemma45": (
+        RESET, EXPCONC, _report_fails("exponential_concentration", lemma45_holds=False),
+        "Thm. 44 moment bound / Lemma 45 pull", lambda doc: not doc["lemma45_holds"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_EXIT_1))
+def test_failed_check_prints_the_report_then_exits_1(runner, tmp_path, monkeypatch, case):
+    """A command whose inequality fails prints its whole report to stdout,
+    then one `check failed:` line to stderr, and exits 1."""
+    (preset, *options), command, patch, message, shows_failure = FORCED_EXIT_1[case]
+    path = _gen(runner, tmp_path, preset, *options)
+    patch(monkeypatch)
+    argv = [command[0], path, *command[1:]]
+    for fmt in ("json", "csv"):
+        res = runner.invoke(main, [*argv, "--format", fmt])
+        assert res.exit_code == 1, res.output
+        assert res.stderr == f"check failed: {message}\n"
+        assert res.output == res.stdout + res.stderr
+        if fmt == "json":
+            assert shows_failure(json.loads(res.stdout))
+        else:
+            header = coricci.cli.SCHEMAS[command[0]].split()[0]
+            assert res.stdout.splitlines()[0] == header
+
+
+def test_cli_spells_no_tolerance():
+    """Every inequality is decided in bounds or curvature, within
+    CHECK_ATOL: cli.py holds no small float literal that would be a second
+    tolerance."""
+    tree = ast.parse(Path(coricci.cli.__file__).read_text())
+    small = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and 0 < abs(node.value) < 1e-6]
+    assert small == []
+
+
 def _count_max_var(monkeypatch):
     """Count max_var_lipschitz calls per (measure, mode) wherever coricci
     looks the function up."""
@@ -554,11 +703,11 @@ def test_row_moment_checks_beyond_the_exact_cap(runner, tmp_path):
     space = coricci.metric.space_from_matrix(range(n), 1.0 - np.eye(n))
     chain = coricci.chain.build_chain(
         space, 0.5 * np.eye(n) + 0.5 * (1.0 - np.eye(n)) / (n - 1))
-    diam_bound, diam_actual, _pairs, avg = coricci.bounds.bonnet_myers(chain)
+    (diam_actual, diam_bound, _holds), _pairs, avg = coricci.bounds.bonnet_myers(chain)
     kappa = 0.5 + 0.5 / (n - 1)  # 1 - W1 between two rows
     assert diam_bound == pytest.approx(2 * 0.5 / kappa, rel=1e-12)
     assert diam_actual <= diam_bound
-    assert all(lhs <= rhs + 1e-12 for _p, lhs, rhs in avg)  # equal: 13/14
+    assert all(lhs <= rhs + 1e-12 for _p, (lhs, rhs, _h) in avg)  # equal: 13/14
     assert coricci.bounds.admissible_lambda(chain, 0.0) == pytest.approx(1 / 12)
     path = str(tmp_path / "k14.json")
     save_chain(chain, path)

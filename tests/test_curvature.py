@@ -10,6 +10,8 @@ import coricci as c
 from coricci import transport
 from coricci.chain import Chain, averaging, build_chain, lipschitz_constant, local_stats
 from coricci.curvature import (
+    CHECK_ATOL,
+    Check,
     _coupling_parts,
     contraction_check,
     kappa,
@@ -161,6 +163,17 @@ def test_not_geodesic_raises():
         kappa_global(chain, mode="geodesic", eps=1.0)
 
 
+def test_check_decides_within_one_tolerance():
+    """A Check holds when lhs exceeds rhs by at most CHECK_ATOL, unpacks as
+    (lhs, rhs, holds), and its fields are the columns of a report row."""
+    assert Check.of(1.0 + CHECK_ATOL / 2, 1.0) == (1.0 + CHECK_ATOL / 2, 1.0, True)
+    assert not Check.of(1.0 + 2 * CHECK_ATOL, 1.0).holds
+    assert not Check.of(float("nan"), 1.0).holds
+    lhs, rhs, holds = Check.of(0.5, 1.0)
+    assert (lhs, rhs, holds) == (0.5, 1.0, True) and type(holds) is bool
+    assert list(Check.of(0.5, 1.0)._asdict()) == ["lhs", "rhs", "holds"]
+
+
 def test_contraction_trivial(cube4):
     nu = Distribution(np.full(16, 1 / 16))
     lhs, rhs, holds = contraction_check(cube4, nu, nu, 1 / 4)
@@ -171,7 +184,8 @@ def test_contraction_trivial(cube4):
 def test_contraction_dirac_pair(cube4):
     mu = Distribution.dirac(cube4.space, (0, 0, 0, 0))
     nu = Distribution.dirac(cube4.space, (1, 0, 0, 0))
-    lhs, rhs, holds = contraction_check(cube4, mu, nu, 1 / 4)
+    lhs, rhs, holds = check = contraction_check(cube4, mu, nu, 1 / 4)
+    assert isinstance(check, Check)
     assert lhs == pytest.approx(3 / 4, abs=1e-9)
     assert rhs == pytest.approx(3 / 4, abs=1e-9)
     assert holds
