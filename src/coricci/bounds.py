@@ -29,6 +29,7 @@ from .errors import (
     HypothesisFails,
     InequalityFails,
     LambdaTooLarge,
+    MomentOverflow,
     NegativeCurvatureSomewhere,
     NonPositiveCurvature,
     NonPositiveF,
@@ -139,8 +140,10 @@ def spectral_report(chain: Chain, kappa: float, n_random: int = 20, seed: int = 
 
 def bonnet_myers(chain: Chain, report=None):
     """L1 Bonnet-Myers: the Check diam <= 2 sup J / kappa, the per-pair
-    bounds (x, y, d(x,y), (J(x)+J(y))/kappa(x,y)), and Prop. 24's
-    average-distance bounds as (x, Check int d(x,y) dnu(y) <= J(x)/kappa)."""
+    bounds as columns (I, J, d, bound) over the scanned pairs with
+    kappa(x,y) > 0, where I and J index the points, d is d(x,y) and bound is
+    (J(x)+J(y))/kappa(x,y), and Prop. 24's average-distance bounds as
+    (x, Check int d(x,y) dnu(y) <= J(x)/kappa)."""
     if report is None:
         report = kappa_global(chain)
     kappa = report.global_kappa
@@ -150,10 +153,8 @@ def bonnet_myers(chain: Chain, report=None):
 
     positive = report.kappa > 0
     x, y = report.I[positive], report.J[positive]
-    pair_bounds = (J[x] + J[y]) / report.kappa[positive]
+    per_pair = (x, y, space.dist[x, y], (J[x] + J[y]) / report.kappa[positive])
     points = space.points
-    per_pair = [(points[i], points[j], d, bound) for i, j, d, bound
-                in zip(x.tolist(), y.tolist(), space.dist[x, y].tolist(), pair_bounds)]
     diameter = Check.of(space.diameter, 2.0 * J.max() / kappa)
 
     nu, _rev, _unique = invariant_distribution(chain)
@@ -403,8 +404,14 @@ def exponential_concentration(chain: Chain, o, r: float, s: float | None = None)
     D = s ** 2 / rho
     m = r + 2.0 * s ** 2 / rho + rho * (1.0 + J_o ** 2 / (4.0 * s ** 2))
     nu, _rev, _unique = invariant_distribution(chain)
-    lhs = float(nu.weights @ np.exp(d_o / D))
-    rhs = (4.0 + J_o ** 2 / s ** 2) * np.exp(m / D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(nu.weights @ np.exp(d_o / D))
+        rhs = (4.0 + J_o ** 2 / s ** 2) * np.exp(m / D)
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise MomentOverflow(
+            f"Thm. 44: exp(d(x, o)/D) or exp(m/D) overflows at s = {s!r}, "
+            f"D = s^2/rho = {D!r}; take a larger s"
+        )
     lemma45 = bool(np.all(pull[d_o >= r] >= rho - CHECK_ATOL))
     return ExpConcentrationReport(
         o, r, s, rho, D, m, lhs, rhs, Check.of(lhs, rhs).holds, lemma45

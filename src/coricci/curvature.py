@@ -15,7 +15,7 @@ import numpy as np
 from .chain import Chain, push_forward
 from .errors import NoPairs, NotGeodesic, SamePoint
 from .metric import is_epsilon_geodesic, is_hop
-from .transport import MASS_ATOL, Distribution, plan_parts, w1, w1_pairs
+from .transport import MASS_ATOL, Distribution, plan_parts, w1, w1_cost, w1_pairs
 
 # Every Check is decided within this tolerance.
 CHECK_ATOL = 1e-9
@@ -197,12 +197,13 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
 def contraction_check(chain: Chain, mu: Distribution, nu: Distribution,
                       kappa_bound: float) -> Check:
     """The Check W1(mu*m, nu*m) <= (1 - kappa) W1(mu, nu) (the contraction
-    characterization of a curvature lower bound)."""
+    characterization of a curvature lower bound).  Both W1 are certified
+    costs of transport.w1_cost, flows on the metric's 1-skeleton."""
     space = chain.space
-    lhs = w1(
+    lhs = w1_cost(
         Distribution(push_forward(chain, mu.weights)),
         Distribution(push_forward(chain, nu.weights)),
         space,
-    ).cost
-    rhs = (1.0 - kappa_bound) * w1(mu, nu, space).cost
+    )
+    rhs = (1.0 - kappa_bound) * w1_cost(mu, nu, space)
     return Check.of(lhs, rhs)

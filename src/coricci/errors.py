@@ -87,6 +87,10 @@ class NonPositiveRho(CoricciError):
     """No attracting point: the annulus pull rho is <= 0."""
 
 
+class MomentOverflow(CoricciError):
+    """Thm. 44's exponential moment is not finite in floating point."""
+
+
 class HypothesisFails(CoricciError):
     """The attracting-point hypothesis fails at some annulus point."""
 

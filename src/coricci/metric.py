@@ -1,7 +1,8 @@
 """Finite metric spaces: validation, shortest-path metrics, geodesic tests.
 
 The O(n^3) triangle check of a distance table runs in the transport kernel
-(coricci.transport._kernel, compiled or pure Python), as triangle_violation.
+(coricci.transport._kernel, compiled or pure Python), as triangle_violation,
+and so does the O(n^3) pass that finds a space's 1-skeleton, on first use.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ GEODESIC_RTOL = 1e-9
 class FiniteMetricSpace:
     """A finite point set with an exact pairwise distance table.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads (two threads
+    that both read skeleton first may both compute it, to the same arrays).
     """
 
     points: tuple
     dist: np.ndarray
     _index: dict = field(repr=False, compare=False, default=None)
+    _skeleton: tuple = field(repr=False, compare=False, default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", _point_index(self.points))
@@ -47,6 +50,23 @@ class FiniteMetricSpace:
     @property
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n > 1 else 0.0
+
+    @property
+    def skeleton(self) -> tuple:
+        """The 1-skeleton of dist as read-only CSR arrays (indptr, indices)
+        of its edges u < v: the pairs with no third point k between them,
+        d(u, k) + d(k, v) <= d(u, v) with d(u, k) and d(k, v) each shorter
+        than d(u, v), compared exactly (the transport kernel's skeleton).
+        Computed on first use, in one O(n^3) pass, and kept; building a
+        space never computes it."""
+        if self._skeleton is None:
+            from .transport import _kernel
+
+            arrays = _kernel.skeleton(self.dist)
+            for a in arrays:
+                a.setflags(write=False)
+            object.__setattr__(self, "_skeleton", arrays)
+        return self._skeleton
 
 
 def _point_index(points) -> dict:

@@ -35,6 +35,27 @@
  * in the order of _mcf_py.lipschitz_vertices, and returns the same vertices,
  * bit for bit, in the same order.
  *
+ * skeleton(dist) lists the 1-skeleton of a distance table: the pairs with no
+ * third point between them, compared exactly, in one O(n^3) pass that stops
+ * each pair's scan at its first point between.  solve_flow(mu, nu, dist,
+ * indptr, indices) computes W1 on it as a min-cost flow (the Beckmann form
+ * of Kantorovich-Rubinstein duality: on a shortest-path metric, W1 is the
+ * cheapest flow on the graph's edges that ships mu - nu).  It reduces the
+ * problem as certify_pair does, then runs successive shortest paths on the
+ * edges, one signed net flow per edge: each phase runs one full Dijkstra,
+ * with the heap above, from every point with supply left, raises the
+ * potentials by the distances and serves every point with demand left, in
+ * index order, along its tree path.  It returns the cost with three
+ * certificate numbers (the flow's conservation error, the potential's
+ * Lipschitz slack on the dense table over the union of the supports, and
+ * the primal-dual gap) and needs no coupling: any flow ships mu - nu at a
+ * cost of at least W1, and any 1-Lipschitz potential bounds W1 from below.
+ * Both kernels do the same arithmetic in the same order and give the same
+ * bits.  Its one caller is transport.w1_cost, behind
+ * curvature.contraction_check: on cube 7 (448 edges of 8,128 pairs) a solve
+ * is 3-4 times faster than solve_pair, on a complete skeleton (128 random
+ * points of the plane) about 1.4 times slower.
+ *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
  * name _mcf_cy because perfbench/run.py builds and checks this exact file.
@@ -133,6 +154,18 @@ static double pairwise_sum(const double *a, npy_intp n)
     n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Resizes the array *p to count items of size bytes; returns 0 when memory
+ * runs out, leaving *p as it was. */
+static int grow(void *p, npy_intp count, size_t size)
+{
+    void *q = realloc(*(void **)p, (size_t)count * size);
+
+    if (!q)
+        return 0;
+    *(void **)p = q;
+    return 1;
 }
 
 /* Returns 0 on success, -1 when a sink with demand left is unreachable
@@ -773,6 +806,363 @@ finish:
     return out;
 }
 
+/* W1 between mu and nu as a min-cost flow on a graph, as
+ * _mcf_py.solve_flow computes it.  The m edges are e = (tail[e], head[e]),
+ * tail[e] < head[e], of length len[e], in row-major order; g[e] is the
+ * signed net flow on e, positive from tail to head.  adj[adjptr[x] ..
+ * adjptr[x + 1] - 1] lists x's neighbours, ascending, and adje[] the edge to
+ * each.  exc and need hold each point's supply and demand left, total the
+ * supply's sum.  pot, dist, parent, parc, cancel, done, heap and slot have n
+ * entries each. */
+static void transship(npy_intp n, const npy_intp *adjptr, const npy_intp *adj,
+                      const npy_intp *adje, const npy_intp *tail,
+                      const double *len, double *exc, double *need,
+                      double total, double *g, double *pot, double *dist,
+                      npy_intp *parent, npy_intp *parc, char *cancel,
+                      char *done, npy_intp *heap, npy_intp *slot)
+{
+    npy_intp u, v, s, e, t, root;
+    double remaining = total, stop, rc, nd, eps, cap, along;
+    int reached;
+    char c;
+    Heap h = {heap, slot, 0};
+
+    stop = MASS_EPS * (total > 1.0 ? total : 1.0);
+    while (remaining > stop) {
+        for (v = 0; v < n; v++) {
+            dist[v] = INFINITY;
+            parent[v] = -1;
+            done[v] = 0;
+            slot[v] = -1;
+        }
+        h.size = 0;
+        for (v = 0; v < n; v++)
+            if (exc[v] > MASS_EPS) {
+                dist[v] = 0.0;
+                heap_update(&h, dist, v);
+            }
+        while ((u = heap_pop(&h, dist)) >= 0) {
+            done[u] = 1;
+            for (s = adjptr[u]; s < adjptr[u + 1]; s++) {
+                v = adj[s];
+                if (done[v])
+                    continue;
+                e = adje[s];
+                /* Flow against u -> v, above the threshold, is cancelled
+                 * first. */
+                along = tail[e] == u ? g[e] : -g[e];
+                c = along < -MASS_EPS;
+                rc = (c ? -len[e] : len[e]) + pot[u] - pot[v];
+                if (rc < 0.0)
+                    rc = 0.0;
+                nd = dist[u] + rc;
+                if (nd < dist[v]) {
+                    dist[v] = nd;
+                    parent[v] = u;
+                    parc[v] = e;
+                    cancel[v] = c;
+                    heap_update(&h, dist, v);
+                }
+            }
+        }
+        reached = 0;
+        for (t = 0; t < n && !reached; t++)
+            reached = need[t] > MASS_EPS && dist[t] < INFINITY;
+        if (!reached)
+            break;
+        for (v = 0; v < n; v++)
+            if (dist[v] < INFINITY)
+                pot[v] += dist[v];
+        /* Every tree arc now has reduced cost zero: serve each point with
+         * demand left along its tree path. */
+        for (t = 0; t < n; t++) {
+            if (need[t] <= MASS_EPS || dist[t] == INFINITY)
+                continue;
+            eps = need[t];
+            for (v = t; parent[v] >= 0; v = parent[v]) {
+                if (!cancel[v])
+                    continue;
+                e = parc[v];
+                cap = tail[e] == parent[v] ? -g[e] : g[e];
+                if (cap <= MASS_EPS)
+                    break;
+                if (cap < eps)
+                    eps = cap;
+            }
+            /* A cancelling arc is used up, or the root is empty. */
+            if (parent[v] >= 0 || exc[v] <= MASS_EPS)
+                continue;
+            root = v;
+            if (exc[root] < eps)
+                eps = exc[root];
+            for (v = t; parent[v] >= 0; v = parent[v]) {
+                e = parc[v];
+                if (tail[e] == parent[v])
+                    g[e] += eps;
+                else
+                    g[e] -= eps;
+            }
+            exc[root] -= eps;
+            need[t] -= eps;
+            remaining -= eps;
+        }
+    }
+}
+
+/* Checks the (indptr, indices) graph of _mcf_py._edge_arrays on n points and
+ * writes each edge's tail; returns 0, or -1 with a ValueError set. */
+static int edge_tails(const npy_intp *indptr, npy_intp np1,
+                      const npy_intp *indices, npy_intp m, npy_intp n,
+                      npy_intp *tail)
+{
+    npy_intp u, s, ok = np1 == n + 1 && indptr[0] == 0 && indptr[n] == m;
+
+    for (u = 0; ok && u < n; u++)
+        ok = indptr[u] <= indptr[u + 1];
+    if (!ok) {
+        PyErr_Format(PyExc_ValueError, "indptr does not list %zd edges on %zd "
+                     "points", (Py_ssize_t)m, (Py_ssize_t)n);
+        return -1;
+    }
+    for (u = 0; u < n; u++)
+        for (s = indptr[u]; s < indptr[u + 1]; s++) {
+            tail[s] = u;
+            if (indices[s] <= u || indices[s] >= n ||
+                (s > indptr[u] && indices[s] <= indices[s - 1])) {
+                PyErr_Format(PyExc_ValueError, "edge %zd (%zd, %zd) is out of "
+                             "order or not above the diagonal", (Py_ssize_t)s,
+                             (Py_ssize_t)u, (Py_ssize_t)indices[s]);
+                return -1;
+            }
+        }
+    return 0;
+}
+
+static PyObject *solve_flow(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *mu_in, *nu_in, *dist_in, *indptr_in, *indices_in, *out = NULL;
+    PyArrayObject *mu = NULL, *nu = NULL, *dist = NULL, *indptr = NULL;
+    PyArrayObject *indices = NULL, *flow = NULL, *fout = NULL;
+    char *block = NULL;
+    npy_intp n, m;
+    int flags = NPY_ARRAY_IN_ARRAY;
+
+    if (!PyArg_ParseTuple(args, "OOOOO:solve_flow", &mu_in, &nu_in, &dist_in,
+                          &indptr_in, &indices_in))
+        return NULL;
+    mu = (PyArrayObject *)PyArray_FROMANY(mu_in, NPY_DOUBLE, 1, 1, flags);
+    nu = (PyArrayObject *)PyArray_FROMANY(nu_in, NPY_DOUBLE, 1, 1, flags);
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2, flags);
+    indptr = (PyArrayObject *)PyArray_FROMANY(indptr_in, NPY_INTP, 1, 1, flags);
+    indices = (PyArrayObject *)PyArray_FROMANY(indices_in, NPY_INTP, 1, 1, flags);
+    if (!mu || !nu || !dist || !indptr || !indices)
+        goto finish;
+    n = PyArray_DIM(mu, 0);
+    m = PyArray_DIM(indices, 0);
+    if (PyArray_DIM(nu, 0) != n || PyArray_DIM(dist, 0) != n ||
+        PyArray_DIM(dist, 1) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "mu and nu have %zd and %zd entries for a %zd x %zd "
+                     "distance matrix",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(nu, 0),
+                     (Py_ssize_t)PyArray_DIM(dist, 0),
+                     (Py_ssize_t)PyArray_DIM(dist, 1));
+        goto finish;
+    }
+    flow = (PyArrayObject *)PyArray_SimpleNew(1, &m, NPY_DOUBLE);
+    fout = (PyArrayObject *)PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+    /* Doubles (diff, exc, need, pot, dist, div, a, b: n each; len: m), then
+     * indices (pos, neg, uni, parent, parc, heap, slot, cursor: n each;
+     * adjptr: n + 1; tail: m; adj, adje: 2 m each), then flags (cancel,
+     * done: n each); one more byte so the size is never 0. */
+    block = malloc((8 * n + m) * sizeof(double) +
+                   (9 * n + 1 + 5 * m) * sizeof(npy_intp) + 2 * n + 1);
+    if (!flow || !fout || !block) {
+        if (flow && fout)
+            PyErr_NoMemory();
+        goto finish;
+    }
+    {
+        const double *Mu = PyArray_DATA(mu), *Nu = PyArray_DATA(nu);
+        const double *D = PyArray_DATA(dist);
+        const npy_intp *head = PyArray_DATA(indices);
+        double *g = PyArray_DATA(flow), *f = PyArray_DATA(fout);
+        double *diff = (double *)block, *exc = diff + n, *need = exc + n;
+        double *pot = need + n, *dst = pot + n, *div = dst + n, *a = div + n;
+        double *b = a + n, *len = b + n;
+        npy_intp *pos = (npy_intp *)(len + m), *neg = pos + n, *uni = neg + n;
+        npy_intp *parent = uni + n, *parc = parent + n, *heap = parc + n;
+        npy_intp *slot = heap + n, *cursor = slot + n, *adjptr = cursor + n;
+        npy_intp *tail = adjptr + n + 1, *adj = tail + m, *adje = adj + 2 * m;
+        char *cancel = (char *)(adje + 2 * m), *done = cancel + n;
+        npy_intp x, e, q, r, ns = 0, nt = 0, nuni = 0;
+        double scale, cost = 0.0, cons = 0.0, slack = -INFINITY, obj = 0.0, t;
+
+        if (edge_tails(PyArray_DATA(indptr), PyArray_DIM(indptr, 0), head, m,
+                       n, tail) < 0)
+            goto finish;
+        /* Each point's neighbours, in edge order: the points before it
+         * (edges into it), then those after it, both ascending. */
+        for (x = 0; x <= n; x++)
+            adjptr[x] = 0;
+        for (e = 0; e < m; e++) {
+            adjptr[tail[e] + 1]++;
+            adjptr[head[e] + 1]++;
+        }
+        for (x = 0; x < n; x++) {
+            adjptr[x + 1] += adjptr[x];
+            cursor[x] = adjptr[x];
+        }
+        for (e = 0; e < m; e++) {
+            adj[cursor[tail[e]]] = head[e];
+            adje[cursor[tail[e]]++] = e;
+            adj[cursor[head[e]]] = tail[e];
+            adje[cursor[head[e]]++] = e;
+            len[e] = D[tail[e] * n + head[e]];
+            g[e] = 0.0;
+        }
+
+        for (x = 0; x < n; x++) {
+            diff[x] = Mu[x] - Nu[x];
+            exc[x] = need[x] = pot[x] = 0.0;
+            if (diff[x] > MASS_ATOL)
+                pos[ns++] = x;
+            else if (diff[x] < -MASS_ATOL)
+                neg[nt++] = x;
+            if (Mu[x] > 0 || Nu[x] > 0)
+                uni[nuni++] = x;
+        }
+        if (ns > 0 && nt > 0) {
+            for (q = 0; q < ns; q++)
+                a[q] = diff[pos[q]];
+            for (q = 0; q < nt; q++)
+                b[q] = -diff[neg[q]];
+            /* Marginal totals can differ at rounding level; rescale the
+             * demand. */
+            scale = (0.0 + pairwise_sum(a, ns)) / (0.0 + pairwise_sum(b, nt));
+            for (q = 0; q < ns; q++)
+                exc[pos[q]] = a[q];
+            for (q = 0; q < nt; q++)
+                need[neg[q]] = b[q] * scale;
+            transship(n, adjptr, adj, adje, tail, len, exc, need,
+                      pairwise_sum(a, ns), g, pot, dst, parent, parc, cancel,
+                      done, heap, slot);
+        }
+
+        for (e = 0; e < m; e++)
+            cost += fabs(g[e]) * len[e];
+        for (x = 0; x < n; x++)
+            div[x] = 0.0;
+        for (e = 0; e < m; e++) {
+            div[tail[e]] += g[e];
+            div[head[e]] -= g[e];
+        }
+        for (x = 0; x < n; x++) {
+            t = fabs(div[x] - diff[x]);
+            if (t > cons)
+                cons = t;
+            f[x] = -pot[x];
+        }
+        for (q = 0; q < nuni; q++)
+            for (r = 0; r < nuni; r++) {
+                t = fabs(f[uni[q]] - f[uni[r]]) - D[uni[q] * n + uni[r]];
+                if (t > slack)
+                    slack = t;
+            }
+        for (q = 0; q < nuni; q++)
+            obj += f[uni[q]] * diff[uni[q]];
+        out = Py_BuildValue("(dNNddd)", cost, flow, fout, cons, slack,
+                            fabs(obj - cost));
+        flow = fout = NULL; /* owned by out (or released by Py_BuildValue) */
+    }
+finish:
+    free(block);
+    Py_XDECREF(flow);
+    Py_XDECREF(fout);
+    Py_XDECREF(mu);
+    Py_XDECREF(nu);
+    Py_XDECREF(dist);
+    Py_XDECREF(indptr);
+    Py_XDECREF(indices);
+    return out;
+}
+
+/* The 1-skeleton of the (n x n) table d, as _mcf_py.skeleton defines it:
+ * the pairs u < v with no k such that d[u,k] < d[u,v], d[k,v] < d[u,v] and
+ * d[u,k] + d[k,v] <= d[u,v], compared exactly.  Each pair's scan stops at its
+ * first such k.  Column v of d is read from a transposed copy, so both terms
+ * are read in order. */
+static PyObject *skeleton(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *dist_in, *out = NULL;
+    PyArrayObject *dist, *indptr = NULL, *indices = NULL;
+    double *T = NULL, duv, a, b;
+    npy_intp n, np1, u, v, k, m = 0, cap = 0, *edge = NULL, *ptr;
+
+    if (!PyArg_ParseTuple(args, "O:skeleton", &dist_in))
+        return NULL;
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2,
+                                            NPY_ARRAY_IN_ARRAY);
+    if (!dist)
+        return NULL;
+    n = PyArray_DIM(dist, 0);
+    if (PyArray_DIM(dist, 1) != n) {
+        PyErr_Format(PyExc_ValueError, "distance table is %zd x %zd, not square",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(dist, 1));
+        goto finish;
+    }
+    np1 = n + 1;
+    if (!(indptr = (PyArrayObject *)PyArray_SimpleNew(1, &np1, NPY_INTP)))
+        goto finish;
+    if (!(T = malloc(n * n * sizeof(double) + 1)))
+        goto nomem;
+    {
+        const double *d = PyArray_DATA(dist), *du, *tv;
+
+        ptr = PyArray_DATA(indptr);
+        for (u = 0; u < n; u++)
+            for (v = 0; v < n; v++)
+                T[v * n + u] = d[u * n + v];
+        for (u = 0; u < n; u++) {
+            ptr[u] = m;
+            du = d + u * n;
+            for (v = u + 1; v < n; v++) {
+                duv = du[v];
+                tv = T + v * n;
+                for (k = 0; k < n; k++) {
+                    a = du[k];
+                    b = tv[k];
+                    if (a < duv && b < duv && a + b <= duv)
+                        break;
+                }
+                if (k < n)
+                    continue;
+                if (m == cap && !grow(&edge, cap = cap ? 2 * cap : 64,
+                                      sizeof *edge))
+                    goto nomem;
+                edge[m++] = v;
+            }
+        }
+        ptr[n] = m;
+    }
+    if (!(indices = (PyArrayObject *)PyArray_SimpleNew(1, &m, NPY_INTP)))
+        goto finish;
+    if (m)
+        memcpy(PyArray_DATA(indices), edge, m * sizeof *edge);
+    out = Py_BuildValue("(NN)", indptr, indices);
+    indptr = indices = NULL; /* owned by out (or released by Py_BuildValue) */
+    goto finish;
+nomem:
+    PyErr_NoMemory();
+finish:
+    free(T);
+    free(edge);
+    Py_XDECREF(indptr);
+    Py_XDECREF(indices);
+    Py_DECREF(dist);
+    return out;
+}
+
 /* Two doubles, and the lane masks that comparing two of them gives. */
 typedef double v2d __attribute__((vector_size(16)));
 typedef long long v2m __attribute__((vector_size(16)));
@@ -916,16 +1306,6 @@ static uint64_t assignment_hash(uint64_t mask, const double *val)
         h = splitmix64(h ^ bits);
     }
     return h;
-}
-
-static int grow(void *p, npy_intp count, size_t size)
-{
-    void *q = realloc(*(void **)p, (size_t)count * size);
-
-    if (!q)
-        return 0;
-    *(void **)p = q;
-    return 1;
 }
 
 /* Makes room for extra more assignments, with the hash set at most half
@@ -1159,14 +1539,19 @@ static PyMethodDef methods[] = {
      "See coricci.transport._mcf_py.triangle_violation."},
     {"lipschitz_vertices", lipschitz_vertices, METH_VARARGS,
      "See coricci.transport._mcf_py.lipschitz_vertices."},
+    {"skeleton", skeleton, METH_VARARGS,
+     "See coricci.transport._mcf_py.skeleton."},
+    {"solve_flow", solve_flow, METH_VARARGS,
+     "See coricci.transport._mcf_py.solve_flow."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
     "Compiled transport kernel: dense transportation, single certified pairs, "
-    "batched pair scans, the triangle check of distance tables and the "
-    "vertices of the 1-Lipschitz polytope behind exact maxVar.",
+    "batched pair scans, the triangle check of distance tables, the "
+    "vertices of the 1-Lipschitz polytope behind exact maxVar, and W1 as a "
+    "min-cost flow on the 1-skeleton of a metric.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

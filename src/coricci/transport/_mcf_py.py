@@ -1,8 +1,10 @@
 """Pure-Python transport kernel: successive shortest paths for dense
 transportation, the reduction of a plan to a forest, the single-pair solve
 and batched pair scan built on both, the triangle check that
-coricci.metric runs on every distance table, and the enumeration of the
-vertices of the 1-Lipschitz polytope behind coricci.chain's exact maxVar.
+coricci.metric runs on every distance table, the enumeration of the
+vertices of the 1-Lipschitz polytope behind coricci.chain's exact maxVar,
+and W1 as a min-cost flow on the 1-skeleton of a metric (skeleton and
+solve_flow).
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
@@ -14,12 +16,15 @@ first; the C kernel pops the same node from a binary heap ordered by
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
 # The kernel interface: what the C extension exports, function for function.
 __all__ = [
     "solve_transport", "solve_pair", "solve_pairs", "triangle_violation",
-    "lipschitz_vertices",
+    "lipschitz_vertices", "skeleton", "solve_flow",
 ]
 
 _MASS_EPS = 1e-15
@@ -257,6 +262,20 @@ def _certificate(dist, union, f, cost, obj):
     return float(slack.max(initial=-np.inf)), abs(obj - cost)
 
 
+def _pair_arrays(mu, nu, dist):
+    """mu, nu and dist as float arrays; raises ValueError unless mu and nu
+    are vectors of n entries and dist is n x n."""
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    dist = np.asarray(dist, dtype=np.float64)
+    if mu.ndim != 1 or nu.shape != mu.shape or dist.shape != mu.shape * 2:
+        raise ValueError(
+            f"mu and nu have {mu.size} and {nu.size} entries for a "
+            f"{dist.shape[0]} x {dist.shape[-1]} distance matrix"
+        )
+    return mu, nu, dist
+
+
 def solve_pair(mu, nu, dist):
     """Certified W1 between the probability vectors mu and nu over the
     (n, n) distance matrix dist: the plan and dual of pair_plan.
@@ -268,14 +287,7 @@ def solve_pair(mu, nu, dist):
     union; and the primal-dual gap |<f, mu - nu> - cost|.
     Raises ValueError when mu, nu and dist do not fit.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if mu.ndim != 1 or nu.shape != mu.shape or dist.shape != mu.shape * 2:
-        raise ValueError(
-            f"mu and nu have {mu.size} and {nu.size} entries for a "
-            f"{dist.shape[0]} x {dist.shape[-1]} distance matrix"
-        )
+    mu, nu, dist = _pair_arrays(mu, nu, dist)
     entries, cost, union, f, obj = pair_plan(mu, nu, dist)
     src = np.array([i for i, _j, _m in entries], dtype=np.intp)
     tgt = np.array([j for _i, j, _m in entries], dtype=np.intp)
@@ -319,6 +331,209 @@ def solve_pairs(P, dist, I, J):
         out[:, k] = (cost, *plan_parts(entries, dist, dist[x, y]),
                      *_certificate(dist, union, f, cost, obj))
     return tuple(out)
+
+
+def _edge_arrays(indptr, indices, n):
+    """The edges of an (indptr, indices) graph as tail and head index arrays;
+    raises ValueError unless indptr has n + 1 entries rising from 0 to
+    len(indices) and each point's heads are ascending points after it."""
+    indptr = np.asarray(indptr, dtype=np.intp)
+    indices = np.asarray(indices, dtype=np.intp)
+    m = indices.size
+    if (indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
+            or indptr[-1] != m or np.any(indptr[1:] < indptr[:-1])):
+        raise ValueError(f"indptr does not list {m} edges on {n} points")
+    tail = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    bad = (indices <= tail) | (indices >= n)
+    bad[1:] |= (tail[1:] == tail[:-1]) & (indices[1:] <= indices[:-1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge {k} ({tail[k]}, {indices[k]}) is out of order "
+                         f"or not above the diagonal")
+    return tail, indices
+
+
+def solve_flow(mu, nu, dist, indptr, indices):
+    """Certified W1 between the probability vectors mu and nu as a min-cost
+    flow on a graph, the 1-skeleton of dist as skeleton returns it.
+
+    The graph's edges are (u, indices[s]) for s in indptr[u]:indptr[u + 1],
+    each of length dist[u, indices[s]], listed in that order; each point's
+    neighbours ascend.  The problem is reduced as pair_plan reduces it: the
+    points where mu - nu > MASS_ATOL supply it, those where it is below
+    -MASS_ATOL demand its negative, rescaled so the totals match, and every
+    point passes flow on.  Each edge keeps one signed net flow, positive
+    from u to v; moving mass against it cancels flow at cost -length, up to
+    the flow there, and any other move costs +length.
+
+    Successive shortest paths with potentials, stopped as solve_transport
+    stops: each phase runs one Dijkstra on the reduced costs from every
+    point with supply left, to exhaustion, taking the point of smallest
+    distance, lowest index first, and relaxing each point's edges in
+    order.  The potentials then grow by the distances, so every arc of the
+    shortest-path tree has reduced cost zero, and each point with demand
+    left, in index order, is served along its tree path, by as much as the
+    path's root, the demand and the cancelling arcs on the path allow.  A
+    path is skipped when its root has no supply left, or when a cancelling
+    arc on it was used up by an earlier path of the phase.  A phase that
+    reaches no point with demand left ends the solve.
+
+    Returns (cost, flow, f, conservation, slack, gap): the flow's cost
+    sum |flow_e| length_e, summed in edge order; the flow per edge; the
+    potential f = -pot on every point; the largest |div flow - (mu - nu)|
+    over the points; the worst slack |f(a) - f(b)| - d(a, b) over the union
+    of the supports; and the primal-dual gap |<f, mu - nu> - cost|.
+    Raises ValueError when the arrays do not fit.
+    """
+    mu, nu, dist = _pair_arrays(mu, nu, dist)
+    n = mu.size
+    tail, head = _edge_arrays(indptr, indices, n)
+    tail, head = tail.tolist(), head.tolist()
+    length = dist[tail, head].tolist()
+    # (neighbour, edge, whether the edge points from here to it), in edge
+    # order, which lists each point's neighbours in ascending order.
+    adj = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(tail, head)):
+        adj[u].append((v, e, True))
+        adj[v].append((u, e, False))
+
+    diff = mu - nu
+    pos = np.nonzero(diff > MASS_ATOL)[0]
+    neg = np.nonzero(diff < -MASS_ATOL)[0]
+    g = [0.0] * len(tail)
+    pot = [0.0] * n
+    if len(pos) and len(neg):
+        supply = diff[pos]
+        demand = -diff[neg]
+        # Marginal totals can differ at rounding level; rescale the demand.
+        demand = demand * (supply.sum() / demand.sum())
+        exc = [0.0] * n
+        need = [0.0] * n
+        for i, a in zip(pos.tolist(), supply.tolist()):
+            exc[i] = a
+        for j, b in zip(neg.tolist(), demand.tolist()):
+            need[j] = b
+        _transship(adj, length, exc, need, float(supply.sum()), g, pot)
+
+    cost = 0.0
+    for ge, le in zip(g, length):
+        cost += abs(ge) * le
+    div = [0.0] * n
+    for u, v, ge in zip(tail, head, g):
+        div[u] += ge
+        div[v] -= ge
+    conservation = 0.0
+    for dx, x in zip(div, diff.tolist()):
+        err = abs(dx - x)
+        if err > conservation:
+            conservation = err
+    f = np.array([-p for p in pot])
+    union = np.nonzero((mu > 0) | (nu > 0))[0]
+    obj = 0.0
+    for term in (f[union] * diff[union]).tolist():
+        obj += term
+    return (cost, np.array(g, dtype=np.float64), f, conservation,
+            *_certificate(dist, union, f[union], cost, obj))
+
+
+def _transship(adj, length, exc, need, total, g, pot):
+    """The phases of solve_flow, updating the flows g and potentials pot in
+    place; exc and need hold each point's supply and demand left."""
+    n = len(adj)
+    inf = math.inf
+    remaining = total
+    while remaining > _MASS_EPS * max(1.0, total):
+        dist = [inf] * n
+        parent = [-1] * n
+        arc = [None] * n  # (edge, forward along the edge, cancels) into each point
+        done = [False] * n
+        heap = [(0.0, x) for x in range(n) if exc[x] > _MASS_EPS]
+        for _zero, x in heap:
+            dist[x] = 0.0
+        while heap:
+            du, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            pu = pot[u]
+            for v, e, forward in adj[u]:
+                if done[v]:
+                    continue
+                # Flow against u -> v, above the threshold, is cancelled first.
+                cancel = (g[e] if forward else -g[e]) < -_MASS_EPS
+                rc = (-length[e] if cancel else length[e]) + pu - pot[v]
+                if rc < 0.0:
+                    rc = 0.0
+                nd = du + rc
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    arc[v] = (e, forward, cancel)
+                    heapq.heappush(heap, (nd, v))
+        if not any(need[t] > _MASS_EPS and dist[t] < inf for t in range(n)):
+            break
+        for x in range(n):
+            if dist[x] < inf:
+                pot[x] += dist[x]
+        for t in range(n):
+            if need[t] <= _MASS_EPS or dist[t] == inf:
+                continue
+            eps = need[t]
+            v = t
+            while parent[v] >= 0:
+                e, forward, cancel = arc[v]
+                if cancel:
+                    cap = -g[e] if forward else g[e]
+                    if cap <= _MASS_EPS:
+                        break
+                    if cap < eps:
+                        eps = cap
+                v = parent[v]
+            if parent[v] >= 0 or exc[v] <= _MASS_EPS:
+                continue  # a cancelling arc is used up, or the root is empty
+            root = v
+            if exc[root] < eps:
+                eps = exc[root]
+            v = t
+            while parent[v] >= 0:
+                e, forward, _cancel = arc[v]
+                if forward:
+                    g[e] += eps
+                else:
+                    g[e] -= eps
+                v = parent[v]
+            exc[root] -= eps
+            need[t] -= eps
+            remaining -= eps
+
+
+def skeleton(dist):
+    """The 1-skeleton of the (n, n) distance table dist: the pairs u < v with
+    no third point k such that d(u, k) + d(k, v) <= d(u, v), compared
+    exactly, with d(u, k) < d(u, v) and d(k, v) < d(u, v).
+
+    The strict comparisons leave out k = u and k = v, and keep the skeleton
+    connected where d(u, k) + d(k, v) rounds to d(u, v) because one term is
+    below its last digit.  On a metric whose sums are exact (integer or
+    dyadic distances), the shortest-path metric of the skeleton is dist.
+    Returns (indptr, indices): the edges u < v as the strict upper triangle
+    of the adjacency in CSR form, each row's points ascending.
+    Raises ValueError when dist is not square.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.ndim != 2 or dist.shape[1] != n:
+        raise ValueError(f"distance table is {n} x {dist.shape[-1]}, not square")
+    rows = []
+    for u in range(n):
+        du = dist[u]
+        # between[k, v]: k lies between u and v.
+        between = (du[:, None] + dist <= du) & (du[:, None] < du) & (dist < du)
+        rows.append(u + 1 + np.flatnonzero(~between[:, u + 1:].any(axis=0)))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.concatenate(rows).astype(np.intp) if rows else np.zeros(0, np.intp)
+    return indptr, indices
 
 
 def triangle_violation(dist, atol):

@@ -81,7 +81,8 @@ def test_bonnet_myers_cube6_sharp(cube6, kappa_cache):
     )
     assert diam_actual == 6.0 and holds
     assert diam_bound == pytest.approx(6.0, abs=1e-9)
-    assert all(d <= b + 1e-9 for _x, _y, d, b in per_pair)
+    _I, _J, d, b = per_pair
+    assert np.all(d <= b + 1e-9)
     assert all(avg <= b + 1e-9 and ok for _x, (avg, b, ok) in avg_bounds)
 
 

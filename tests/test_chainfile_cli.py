@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -27,9 +28,9 @@ import coricci.metric
 from coricci import chainfile, gallery
 from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
-from coricci.curvature import kappa_global
+from coricci.curvature import contraction_check, kappa_global
 from coricci.errors import ChainFileError, DegenerateSupport, InequalityFails
-from coricci.transport import MASS_ATOL
+from coricci.transport import MASS_ATOL, Distribution
 
 
 @pytest.fixture()
@@ -595,6 +596,23 @@ FORCED_EXIT_1 = {
 }
 
 
+def test_expconc_overflow_is_an_input_error(runner, tmp_path):
+    """On geometric_reset (alpha 1/2, K 20) at --s 0.05, D = s^2/rho = 0.005
+    and exp(d(x, o)/D) overflows: an input error naming s and D, with no
+    report and no numpy warning.  Larger s still decide Thm. 44."""
+    path = _gen(runner, tmp_path, *RESET)
+    argv = [EXPCONC[0], path, *EXPCONC[1:], "--s"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, [*argv, "0.05"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: Thm. 44: exp(d(x, o)/D) or exp(m/D) overflows at "
+                          "s = 0.05, D = s^2/rho = 0.005000000000000001; take a larger s\n")
+    for s, code in (("0.2", 1), ("0.5", 1), ("1", 0)):
+        assert runner.invoke(main, [*argv, s]).exit_code == code
+
+
 @pytest.mark.parametrize("case", sorted(FORCED_EXIT_1))
 def test_failed_check_prints_the_report_then_exits_1(runner, tmp_path, monkeypatch, case):
     """A command whose inequality fails prints its whole report to stdout,
@@ -613,6 +631,35 @@ def test_failed_check_prints_the_report_then_exits_1(runner, tmp_path, monkeypat
         else:
             header = coricci.cli.SCHEMAS[command[0]].split()[0]
             assert res.stdout.splitlines()[0] == header
+
+
+def test_skeleton_is_computed_only_for_contraction(runner, tmp_path, monkeypatch):
+    """Writing and loading chain files, curvature scans and every command
+    leave the metric's 1-skeleton uncomputed; contraction_check computes it
+    once per space."""
+    calls = []
+    skeleton = coricci.transport._kernel.skeleton
+    monkeypatch.setattr(coricci.transport._kernel, "skeleton",
+                        lambda dist: calls.append(len(dist)) or skeleton(dist))
+    cube = _gen(runner, tmp_path, *CUBE3)
+    reset = _gen(runner, tmp_path, *RESET)
+    chain = load_chain(cube)
+    kappa_global(chain)
+    kappa_global(chain, mode="geodesic", eps=1)
+    geodesic = ["--geodesic", "1"]
+    for argv in (["curvature", cube], ["curvature", cube, *geodesic],
+                 ["spectral", cube, *geodesic], ["bounds", cube, *geodesic],
+                 ["concentration", cube, *geodesic, "--origin", "(0, 0, 0)"],
+                 ["logsobolev", cube, *geodesic], ["verify", cube, "--all", *geodesic],
+                 ["report", cube, *geodesic], [EXPCONC[0], reset, *EXPCONC[1:]]):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, (argv, res.output)
+    assert calls == []
+    mu = Distribution.dirac(chain.space, "(0, 0, 0)")
+    nu = Distribution(chain.dense()[7])
+    for _ in range(2):
+        assert contraction_check(chain, mu, nu, 1 / 3).holds
+    assert calls == [8]
 
 
 def test_cli_spells_no_tolerance():

@@ -8,7 +8,14 @@ from scipy.optimize import linprog
 
 import coricci as c
 from coricci import transport
-from coricci.chain import Chain, averaging, build_chain, lipschitz_constant, local_stats
+from coricci.chain import (
+    Chain,
+    averaging,
+    build_chain,
+    lipschitz_constant,
+    local_stats,
+    push_forward,
+)
 from coricci.curvature import (
     CHECK_ATOL,
     Check,
@@ -192,6 +199,8 @@ def test_contraction_dirac_pair(cube4):
 
 
 def test_contraction_random_pairs(cube4, binom20, glauber5, kappa_cache):
+    """The check holds, and its two sides, flows on the metric's skeleton,
+    are the dense w1 costs within 1e-12 relative."""
     rng = np.random.default_rng(2)
     for chain in (cube4, binom20, glauber5):
         k = kappa_cache(chain).global_kappa
@@ -201,8 +210,13 @@ def test_contraction_random_pairs(cube4, binom20, glauber5, kappa_cache):
             b = rng.random(n) ** 3
             mu = Distribution(a / a.sum())
             nu = Distribution(b / b.sum())
-            _lhs, _rhs, holds = contraction_check(chain, mu, nu, k)
+            lhs, rhs, holds = contraction_check(chain, mu, nu, k)
             assert holds
+            dense_lhs = w1(Distribution(push_forward(chain, mu.weights)),
+                           Distribution(push_forward(chain, nu.weights)), chain.space).cost
+            dense_rhs = (1.0 - k) * w1(mu, nu, chain.space).cost
+            assert abs(lhs - dense_lhs) <= 1e-12 * dense_lhs
+            assert abs(rhs - dense_rhs) <= 1e-12 * dense_rhs
 
 
 def test_lipschitz_contraction_prop28(cube4, binom20, kappa_cache):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from coricci import transport
+from coricci import gallery, transport
 from coricci.errors import DisconnectedGraph, MetricViolation, RepeatedPoint
 from coricci.metric import (
     GEODESIC_RTOL,
@@ -16,7 +16,7 @@ from coricci.metric import (
     space_from_edges,
     space_from_matrix,
 )
-from coricci.transport import _mcf_py
+from coricci.transport import Distribution, _mcf_py, w1_cost
 
 # The pure-Python kernel, then the selected one (the C kernel when built).
 KERNELS = (_mcf_py, transport._kernel)
@@ -228,3 +228,72 @@ def test_triangle_check_is_the_same_on_both_kernels(n, seed, graph, bump):
             messages.append(_metric_or_violation(dist))
     assert messages[0] == messages[1]
     assert (witness is None) == (messages[0] is None)
+
+
+def _skeleton_pairs(indptr, indices):
+    """The skeleton's edges as arrays of their first and second points."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 7])
+def test_skeleton_of_the_cube_is_its_hamming_graph(N):
+    """On cube N the skeleton is exactly the N 2^(N-1) pairs at Hamming
+    distance 1, listed in row-major order, on either kernel."""
+    dist = gallery.cube(N).space.dist
+    for kernel in KERNELS:
+        tail, head = _skeleton_pairs(*kernel.skeleton(dist))
+        I, J = np.nonzero(np.triu(dist == 1.0, 1))
+        assert len(head) == N * 2 ** (N - 1)
+        assert np.array_equal(tail, I) and np.array_equal(head, J)
+
+
+def test_skeleton_of_a_line_is_a_path():
+    """A line metric has the n - 1 pairs of neighbours; one point has no
+    edge, and no point none."""
+    dist = gallery.binomial(20, 0.5).space.dist
+    for kernel in KERNELS:
+        tail, head = _skeleton_pairs(*kernel.skeleton(dist))
+        assert np.array_equal(tail, np.arange(20)) and np.array_equal(head, np.arange(1, 21))
+        for n in (0, 1):
+            indptr, indices = kernel.skeleton(np.zeros((n, n)))
+            assert np.array_equal(indptr, np.zeros(n + 1)) and indices.size == 0
+
+
+def test_skeleton_reproduces_the_metric_of_every_preset():
+    """On a chain of every gallery preset, the shortest-path metric of the
+    skeleton is the space's distance table, bit for bit, and both kernels
+    give the same skeleton.  The space computes it once and keeps it
+    read-only."""
+    from scipy.sparse import csr_matrix
+
+    chains = [
+        gallery.cube(4), gallery.discrete_ou(4), gallery.multinomial(4, 2),
+        gallery.binomial(10, 0.3), gallery.glauber("cycle:5", 0.2),
+        gallery.geometric_reflect(K=30), gallery.geometric_reset(0.5, K=30),
+        gallery.mm_infty(2.0, 1.0, 1e-3, K=20), gallery.linear_rates(1.0, 1.5, 1e-3, K=40),
+        gallery.quadratic_rates(1.0, 1.0, 1e-6, K=150, tail_tol=1e-4),
+        gallery.pow2_jump(j=6),
+    ]
+    assert len(chains) == len(gallery.PRESETS)
+    for chain in chains:
+        space = chain.space
+        indptr, indices = space.skeleton
+        assert space.skeleton is space.skeleton
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        for kernel in KERNELS:
+            assert all(map(np.array_equal, kernel.skeleton(space.dist), space.skeleton))
+        tail, head = _skeleton_pairs(indptr, indices)
+        graph = csr_matrix((space.dist[tail, head], (tail, head)), shape=space.dist.shape)
+        assert np.array_equal(shortest_path(graph, directed=False), space.dist)
+
+
+def test_skeleton_stays_connected_where_a_sum_rounds(monkeypatch):
+    """d(0, 2) + d(2, 1) rounds to d(0, 1) = 1 because d(2, 1) = 1e-17, yet
+    2 is not between 0 and 1 (d(0, 2) is not shorter), nor 1 between 0
+    and 2: every pair is an edge, and W1 runs on them."""
+    space = space_from_matrix(range(3), [[0, 1, 1], [1, 0, 1e-17], [1, 1e-17, 0]])
+    for kernel in KERNELS:
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        tail, head = _skeleton_pairs(*kernel.skeleton(space.dist))
+        assert list(zip(tail, head)) == [(0, 1), (0, 2), (1, 2)]
+        assert w1_cost(Distribution.dirac(space, 0), Distribution.dirac(space, 1), space) == 1.0

@@ -19,8 +19,8 @@ from coricci.chain import invariant_distribution, local_stats, max_var_lipschitz
 from coricci.curvature import contraction_check
 from coricci.errors import Infeasible
 from coricci.gallery import binomial, cube, glauber
-from coricci.metric import space_from_matrix
-from coricci.transport import Distribution, _mcf_py, w1
+from coricci.metric import build_space, space_from_matrix
+from coricci.transport import Distribution, DualPotential, _mcf_py, w1, w1_cost
 
 
 def lp_oracle(mu, nu, space):
@@ -92,17 +92,13 @@ def test_against_lp_oracle_random_instances():
         assert res.cost == pytest.approx(lp_oracle(mu, nu, space), abs=1e-9)
 
 
-def test_against_tight_lp_on_full_support_cube7_measures():
-    """W1 between full-support measures on cube 7, and between their images
-    under one step of the chain, agrees with HiGHS solved at feasibility
-    tolerances of 1e-10 within 1e-12 relative.  The measures are the
-    Dirichlet draws of a contraction benchmark run (rng seeded [920, 0], mu
-    then nu in each pass) at passes 0 and 1536.  On them HiGHS at its default
-    tolerances (about 1e-7) is off by up to about 1e-7 relative, more than a
-    1e-9 check allows, so an LP oracle of W1 needs the tighter tolerances."""
-    chain = cube(7)
+def _tight_lp_checks(chain, seed):
+    """The Dirichlet draws of a contraction benchmark run (rng seeded seed,
+    mu then nu in each pass) at passes 0 and 1536, and their images under
+    one step of chain: each pair's W1 through w1 and through w1_cost, with
+    W1 from HiGHS solved at feasibility tolerances of 1e-10."""
     space, n = chain.space, chain.n
-    rng = np.random.default_rng([920, 0])
+    rng = np.random.default_rng(seed)
     draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))) for _ in range(1537)]
     rows = np.concatenate([np.repeat(np.arange(n), n), n + np.tile(np.arange(n), n)])
     a_eq = coo_matrix((np.ones(2 * n * n), (rows, np.tile(np.arange(n * n), 2))),
@@ -113,8 +109,30 @@ def test_against_tight_lp_on_full_support_cube7_measures():
             res = linprog(space.dist.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
                           bounds=(0, None), method="highs", options=tight)
             assert res.status == 0
-            cost = w1(Distribution(a), Distribution(b), space).cost
-            assert abs(cost - res.fun) <= 1e-12 * cost
+            yield (w1(Distribution(a), Distribution(b), space).cost,
+                   w1_cost(Distribution(a), Distribution(b), space), res.fun)
+
+
+def test_against_tight_lp_on_full_support_cube7_measures():
+    """W1 between full-support measures on cube 7, and between their images
+    under one step of the chain, agrees with HiGHS solved at feasibility
+    tolerances of 1e-10 within 1e-12 relative, through w1 and through the
+    skeleton flow of w1_cost.  The measures are the Dirichlet draws of a
+    contraction benchmark run (rng seeded [920, 0]) at passes 0 and 1536.
+    On them HiGHS at its default tolerances (about 1e-7) is off by up to
+    about 1e-7 relative, more than a 1e-9 check allows, so an LP oracle of
+    W1 needs the tighter tolerances."""
+    for dense, flow, lp in _tight_lp_checks(cube(7), [920, 0]):
+        assert abs(dense - lp) <= 1e-12 * dense
+        assert abs(flow - lp) <= 1e-12 * flow
+
+
+def test_against_tight_lp_on_full_support_glauber7_measures():
+    """The same on glauber 7 (cycle:7, beta 0.2), with the draws of the
+    benchmark's second contraction case (rng seeded [920, 1])."""
+    for dense, flow, lp in _tight_lp_checks(glauber("cycle:7", 0.2), [920, 1]):
+        assert abs(dense - lp) <= 1e-12 * dense
+        assert abs(flow - lp) <= 1e-12 * flow
 
 
 def test_plan_and_dual_invariants_random():
@@ -352,6 +370,18 @@ def test_kernels_reject_mismatched_sizes():
             kernel.solve_pair(third, third, cost[:, :2])
         with pytest.raises(ValueError, match="3 and 3 entries for a 2 x 3 dist"):
             kernel.solve_pair(third, third, cost[:2])
+        with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
+            kernel.skeleton(cost[:2])
+        indptr, indices = np.array([0, 2, 3, 3]), np.array([1, 2, 2])
+        with pytest.raises(ValueError, match="2 and 3 entries for a 3 x 3 dist"):
+            kernel.solve_flow(half, third, cost, indptr, indices)
+        for bad in ([0, 2, 3], [0, 2, 3, 4], [1, 2, 3, 3], [0, 2, 1, 3]):
+            with pytest.raises(ValueError, match="indptr does not list 3 edges on 3 points"):
+                kernel.solve_flow(third, third, cost, bad, indices)
+        for bad, k in (([0, 1, 2], 0), ([2, 1, 2], 1), ([1, 1, 2], 1), ([1, 2, 1], 2),
+                       ([1, 2, 3], 2)):
+            with pytest.raises(ValueError, match=f"edge {k} .* out of order or not above"):
+                kernel.solve_flow(third, third, cost, indptr, bad)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
@@ -409,6 +439,110 @@ def test_w1_failure_messages(cube4, monkeypatch, name):
         with pytest.raises(Infeasible) as err:
             w1(mu, nu, space)
         assert str(err.value) == expected
+
+
+def _flow_problems():
+    """(mu, nu, dist) problems for the skeleton flow: the Dirichlet draws of
+    the contraction benchmark on cube 7 and glauber 7 (seeds [920, 0] and
+    [920, 1], the first three passes), the cube 7 pair on which the dense
+    kernel once stopped short (seed [916, 0], pass 127), a line (binomial
+    20), an 8 x 16 grid under the L1 metric, random points of the plane
+    (every pair an edge), equal measures and a pair of Dirac masses."""
+    rng = np.random.default_rng(19)
+    problems = []
+    for chain, seed, passes in ((cube(7), [920, 0], 3), (glauber("cycle:7", 0.2), [920, 1], 3),
+                                (cube(7), [916, 0], 128)):
+        draws = np.random.default_rng(seed)
+        pairs = [draws.dirichlet(np.ones(chain.n), size=2) for _ in range(passes)]
+        problems += [(mu, nu, chain.space.dist) for mu, nu in pairs[-3:]]
+    line = binomial(20, 0.5)
+    problems += [(line.row(x), line.row(y), line.space.dist) for x, y in ((0, 20), (3, 4))]
+    cells = np.stack(np.divmod(np.arange(128), 16), axis=1)
+    grid = np.abs(cells[:, None] - cells[None, :]).sum(axis=2).astype(float)
+    problems += [(*rng.dirichlet(np.ones(128), size=2), grid)]
+    pts = rng.random((40, 2))
+    plane = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    mu = rng.dirichlet(np.ones(40))
+    problems += [(mu, rng.dirichlet(np.ones(40)), plane), (mu, mu, plane)]
+    problems.append((np.eye(40)[3], np.eye(40)[17], plane))
+    return problems
+
+
+def test_flow_backends_agree():
+    """Both kernels give the same skeleton, and on it the same cost, flow,
+    potential and certificate numbers, bit for bit; every cost is w1's
+    within 1e-14 relative, with a conservation error below 1e-15 and a gap
+    below 1e-13."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    for mu, nu, dist in _flow_problems():
+        graph = _mcf_py.skeleton(dist)
+        for x_py, x_c in zip(graph, _mcf_cy.skeleton(dist)):
+            assert x_py.dtype == x_c.dtype == np.intp and np.array_equal(x_py, x_c)
+        out_py = _mcf_py.solve_flow(mu, nu, dist, *graph)
+        out_c = _mcf_cy.solve_flow(mu, nu, dist, *graph)
+        assert len(out_py) == len(out_c) == 6
+        for x_py, x_c in zip(out_py, out_c):
+            assert type(x_py) is type(x_c) or np.asarray(x_py).dtype == x_c.dtype
+            assert np.array_equal(x_py, x_c)
+        cost, flow, f, conservation, slack, gap = out_c
+        assert flow.shape == graph[1].shape and f.shape == mu.shape
+        dense = _mcf_cy.solve_pair(mu, nu, dist)[3]
+        assert abs(cost - dense) <= 1e-14 * max(dense, 1e-300) or cost == dense == 0.0
+        assert conservation < 1e-15 and slack <= 1e-15 and gap < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1), form=st.integers(0, 2))
+def test_w1_cost_property_equals_w1(n, seed, form):
+    """On random metrics built by build_space (Euclidean and integer
+    shortest-path matrices, and weighted edge lists), w1_cost equals w1's
+    cost within 1e-12 relative, on full and partial supports."""
+    rng = np.random.default_rng(seed)
+    if form == 0:
+        pts = rng.random((n, 2))
+        space = build_space(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2)))
+    elif form == 1:
+        space = build_space(_shortest_path_metric(rng, n, 0))
+    else:
+        edges = [(f"p{i}", f"p{i + 1}", float(rng.integers(1, 4))) for i in range(n - 1)]
+        edges += [(f"p{i}", f"p{j}", float(rng.random() + 0.1))
+                  for i in range(n) for j in range(i + 2, n) if rng.random() < 0.3]
+        space = build_space(edges)
+    mu = random_distribution(rng, n, support=int(rng.integers(1, n + 1)))
+    nu = random_distribution(rng, n, support=int(rng.integers(1, n + 1)))
+    ref = w1(mu, nu, space).cost
+    assert abs(w1_cost(mu, nu, space) - ref) <= 1e-12 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("name", ["MARGINAL_ATOL", "LIPSCHITZ_ATOL", "GAP_RTOL"])
+def test_w1_cost_failure_messages(cube4, monkeypatch, name):
+    """A failed flow certificate names the conservation error, the dual's
+    witness pair, or the gap with its primal and dual values, on either
+    kernel."""
+    space = cube4.space
+    mu = Distribution(cube4.row((0, 0, 0, 0)))
+    nu = Distribution(cube4.row((1, 1, 0, 0)))
+    cost, _flow, f, conservation, _slack, gap = _mcf_py.solve_flow(
+        mu.weights, nu.weights, space.dist, *space.skeleton)
+    union = np.flatnonzero((mu.weights > 0) | (nu.weights > 0))
+    if name == "MARGINAL_ATOL":
+        expected = f"flow conservation error {conservation!r} exceeds tolerance"
+    elif name == "LIPSCHITZ_ATOL":
+        slack = np.abs(f[union, None] - f[None, union]) - space.dist[np.ix_(union, union)]
+        a, b = np.unravel_index(np.argmax(slack), slack.shape)
+        expected = f"dual potential not 1-Lipschitz at pair ({union[a]}, {union[b]})"
+    else:
+        obj = DualPotential(tuple(union.tolist()), f[union]).objective(mu, nu)
+        expected = (f"primal-dual gap {gap!r} exceeds tolerance "
+                    f"(primal {cost!r}, dual {obj!r})")
+    monkeypatch.setattr(transport, name, -1.0)
+    for kernel in (_mcf_py, transport._kernel):  # the C kernel when built
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        with pytest.raises(Infeasible) as err:
+            w1_cost(mu, nu, space)
+        assert str(err.value) == expected
+    with pytest.raises(Infeasible, match="distribution size does not match space"):
+        w1_cost(Distribution([0.5, 0.5]), nu, space)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
