@@ -3,6 +3,7 @@ jump, spread and local dimension."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,11 +81,21 @@ class LocalStats:
     certificate: str  # n_x is "exact" | "undefined"
 
 
-def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
-    """Validate sparse rows {point: {target: prob}} or a dense matrix."""
+def _dense_rows(space: FiniteMetricSpace, rows: dict) -> np.ndarray:
+    """The n x n matrix of sparse rows {point: {target: prob}}, filled in with
+    one scatter.  Raises UnknownPoint naming the first row key or target that
+    is not a point, in the order the rows list them, and RowNotStochastic
+    naming the first point without a row."""
     n = space.n
-    if isinstance(rows, dict):
-        mat = np.zeros((n, n))
+    mat = np.zeros((n, n))
+    try:
+        I = np.repeat(np.array(space.indices(rows), dtype=np.intp),
+                      list(map(len, rows.values())))
+        J = space.indices(itertools.chain.from_iterable(rows.values()))
+        p = list(map(float, itertools.chain.from_iterable(map(dict.values, rows.values()))))
+    except Exception:
+        # Whatever failed, the entry-by-entry fill raises it again, for the
+        # first bad row key, target or probability in the order listed.
         for point, row in rows.items():
             try:
                 i = space.index(point)
@@ -98,11 +109,23 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
                         f"target {target!r} in row of {point!r} is not a point"
                     )
                 mat[i, j] = float(prob)
-        missing = set(range(n)) - {space.index(p) for p in rows}
-        if missing:
-            raise RowNotStochastic(
-                f"no row supplied for point {space.points[min(missing)]!r}"
-            )
+    else:
+        # Row keys are distinct, and so are the targets of a row: no cell
+        # is listed twice.
+        mat[I, J] = p
+    if len(rows) < n:
+        missing = set(range(n)) - {space.index(point) for point in rows}
+        raise RowNotStochastic(
+            f"no row supplied for point {space.points[min(missing)]!r}"
+        )
+    return mat
+
+
+def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
+    """Validate sparse rows {point: {target: prob}} or a dense matrix."""
+    n = space.n
+    if isinstance(rows, dict):
+        mat = _dense_rows(space, rows)
     else:
         mat = np.array(rows, dtype=np.float64)
         if mat.shape != (n, n):

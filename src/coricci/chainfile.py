@@ -3,6 +3,7 @@ serialized as decimal strings (repr) so round-trips are bit-exact."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -116,10 +117,16 @@ def parse_chain(doc: dict) -> Chain:
     kernel = doc.get("kernel")
     if not isinstance(kernel, dict):
         raise ChainFileError("field 'kernel': expected an object")
+    # Every entry a [target, prob] list, tested in one pass; only a kernel
+    # that fails it is tested row by row, to name the first bad row.
+    values = list(kernel.values())
+    flat = (list(itertools.chain.from_iterable(values))
+            if all(map(isinstance, values, itertools.repeat(list))) else [None])
+    pairs = all(map(isinstance, flat, itertools.repeat(list))) and set(map(len, flat)) <= {2}
     rows = {}
     for p, entries in kernel.items():
-        if not (isinstance(entries, list)
-                and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        if not (pairs or (isinstance(entries, list)
+                          and all(isinstance(e, list) and len(e) == 2 for e in entries))):
             raise ChainFileError(
                 f"field 'kernel.{p}': expected a list of [target, prob] pairs")
         try:
@@ -128,9 +135,9 @@ def parse_chain(doc: dict) -> Chain:
             raise ChainFileError(f"field 'kernel.{p}': malformed ({exc})") from None
         if len(row) < len(entries):
             targets = [target for target, _prob in entries]
-            repeat = next(t for t in targets if targets.count(t) > 1)
+            twice = next(t for t in targets if targets.count(t) > 1)
             raise ChainFileError(
-                f"field 'kernel.{p}': target {repeat!r} listed more than once")
+                f"field 'kernel.{p}': target {twice!r} listed more than once")
     dt = doc.get("dt")
     try:
         return build_chain(space, rows, None if dt is None else float(dt))

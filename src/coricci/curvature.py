@@ -129,11 +129,16 @@ def _coupling_parts(plan, dist, i, j):
     return k_plus, k_minus, None if math.isnan(U) else U
 
 
+def _check_delta(delta) -> None:
+    """Raises ValueError unless delta is a finite number >= 0."""
+    if not (delta >= 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be finite and >= 0, not {delta!r}")
+
+
 def kappa(chain: Chain, x, y, delta: float = 0.0) -> float:
     """kappa(x,y) = 1 - T1(m_x, m_y)/d(x,y); delta > 0 gives the Def.-48
     curvature up to delta, 1 - (T1 - delta)_+ / d."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     i, j, res = _pair_w1(chain, x, y)
     return 1.0 - max(res.cost - delta, 0.0) / chain.space.dist[i, j]
 
@@ -159,10 +164,12 @@ def kappa_global(chain: Chain, mode="all-pairs", eps=None,
     report keeps the kernel's per-pair results as columns.
 
     Every kernel row must be a probability vector: the first that is not
-    raises the ValueError of Distribution."""
+    raises the ValueError of Distribution.  delta must be finite and >= 0,
+    and eps, in geodesic mode, > 0 (so not NaN)."""
     space = chain.space
+    _check_delta(delta)
     if mode == "geodesic":
-        if eps is None or eps <= 0:
+        if eps is None or not eps > 0:
             raise ValueError("geodesic mode requires eps > 0")
         ok, witness = is_epsilon_geodesic(space, eps)
         if not ok:

@@ -12,7 +12,8 @@ scan, the integrals over each plan) is a C extension with a pure-Python
 fallback of identical arithmetic; selection happens at import time and can
 be forced with CORICCI_PURE_PYTHON=1.  The selected kernel, _kernel, also
 holds the triangle check that coricci.metric runs on every distance table,
-and lipschitz_vertices, which enumerates the vertices of the 1-Lipschitz
+the one-hop certificate its geodesic test tries first, and
+lipschitz_vertices, which enumerates the vertices of the 1-Lipschitz
 polytope for the exact maxVar of coricci.chain, the same vertices in the
 same order in both kernels.
 
@@ -62,7 +63,9 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        # A copy, made read-only below: the caller's array stays writeable,
+        # and a later write to it cannot change these weights.
+        w = np.array(self.weights, dtype=np.float64)
         total = w.sum()
         # A NaN or infinite weight makes the sum non-finite; look for it only then.
         if not math.isfinite(total) and not np.isfinite(w).all():

@@ -20,14 +20,27 @@
  * are returned.  solve_pairs(P, dist, I, J) does the same for the rows P[I[k]]
  * and P[J[k]] for every k, through the same static certify_pair, and returns
  * per pair the cost, the integrals of (d(x,y) - d(x',y'))_+ and _- over the
- * plan, the slack and the gap.  The arithmetic, including numpy's pairwise
- * summation order for the demand rescaling, is that of _mcf_py.solve_pair
- * and _mcf_py.solve_pairs, so both kernels give the same bits.
+ * plan, the slack and the gap.  It lists the support of each row of P once,
+ * and each pair visits only the merged supports of its two rows, in index
+ * order: a point outside both has no mass, so no sum changes.  The
+ * arithmetic, including numpy's pairwise summation order for the demand
+ * rescaling, is that of _mcf_py.solve_pair and _mcf_py.solve_pairs, so both
+ * kernels give the same bits.
  *
  * triangle_violation(dist, atol) is the triangle check that coricci.metric
  * runs on every distance table: the first intermediate point through which
  * the inequality fails by more than atol, and the worst pair through it, as
- * the numpy loop of _mcf_py.triangle_violation finds them.
+ * the numpy loop of _mcf_py.triangle_violation finds them.  On a table equal
+ * to its transpose bit for bit it tests the cells j >= i alone, since the
+ * cells (i, j) and (j, i) then give the same sum; the witness is still
+ * searched over the whole table.
+ *
+ * geodesic_certificate(dist, hop_limit) is the one-hop certificate that
+ * coricci.metric.is_epsilon_geodesic asks for before its Dijkstra search:
+ * whether every ordered pair s != t is a hop, or has a hop s-k (the entries
+ * at most hop_limit, taken both ways) with d[k,t] < d[s,t] and
+ * w(s,k) + d[k,t] <= d[s,t], compared exactly.  It stops at the first pair
+ * that fails, and gives the answer of _mcf_py.geodesic_certificate.
  *
  * lipschitz_vertices(dist) enumerates the vertices of the 1-Lipschitz
  * polytope {f : |f(a) - f(b)| <= d(a,b), f(0) = 0} for the exact maxVar of
@@ -367,17 +380,19 @@ finish:
     return out;
 }
 
-/* Work arrays for one pair, sized for rows of n points.  After certify_pair
- * they hold the pair's plan and dual: the ns sources pos[] and nt sinks
- * neg[], the forest (tree, in_tree) over the ns x nt cells with its ncell
- * cells listed in sorted order in cell[], and the dual f on the nuni points
- * uni[] of the union of the supports. */
+/* Work arrays for one pair, sized for rows of n points.  The caller lists in
+ * sup[] the nsup points, ascending, where mu or nu is not zero: every other
+ * point has no mass, so certify_pair and plan_parts visit these alone.  After
+ * certify_pair they hold the pair's plan and dual: the ns sources pos[] and
+ * nt sinks neg[], the forest (tree, in_tree) over the ns x nt cells with its
+ * ncell cells listed in sorted order in cell[], and the dual f on the nuni
+ * points uni[] of the union of the supports. */
 typedef struct {
     double *diff, *a, *b, *f, *C, *flow, *tree, *pot, *dist;
-    npy_intp *pos, *neg, *uni, *parent, *prev, *queue, *path, *heap, *slot;
-    npy_intp *cell;
+    npy_intp *sup, *pos, *neg, *uni, *parent, *prev, *queue, *path, *heap;
+    npy_intp *slot, *cell;
     char *done, *in_tree;
-    npy_intp ns, nt, nuni, ncell;
+    npy_intp nsup, ns, nt, nuni, ncell;
 } Work;
 
 static void *work_alloc(Work *w, npy_intp n)
@@ -386,7 +401,7 @@ static void *work_alloc(Work *w, npy_intp n)
     /* Doubles, then indices, then flags, so that every part is aligned;
      * one more byte so the size is never 0. */
     char *block = malloc((8 * n + 3 * nn) * sizeof(double) +
-                         17 * n * sizeof(npy_intp) + 2 * n + nn + 1);
+                         18 * n * sizeof(npy_intp) + 2 * n + nn + 1);
     double *d = (double *)block;
     npy_intp *p;
 
@@ -412,7 +427,8 @@ static void *work_alloc(Work *w, npy_intp n)
     w->heap = p + 11 * n;
     w->slot = p + 13 * n;
     w->cell = p + 15 * n; /* 2 n: a forest on ns + nt nodes has fewer edges */
-    w->done = (char *)(p + 17 * n); /* 2 n */
+    w->sup = p + 17 * n;
+    w->done = (char *)(p + 18 * n); /* 2 n */
     w->in_tree = w->done + 2 * n;
     return block;
 }
@@ -523,8 +539,8 @@ static double common(const double *mu, const double *nu, npy_intp u)
     return mu[u] < nu[u] ? mu[u] : nu[u];
 }
 
-/* W1 between the rows mu and nu (n points, distances D), as
- * _mcf_py.pair_plan computes it, with its certificate: out = (cost, slack,
+/* W1 between the rows mu and nu (n points, distances D, supports in w->sup),
+ * as _mcf_py.pair_plan computes it, with its certificate: out = (cost, slack,
  * gap), and the plan and dual are left in w.  Returns -1 when the
  * transportation problem is infeasible. */
 static int certify_pair(const double *mu, const double *nu, const double *D,
@@ -533,7 +549,8 @@ static int certify_pair(const double *mu, const double *nu, const double *D,
     npy_intp u, i, j, k, q, r, ns = 0, nt = 0, nuni = 0, ncell = 0;
     double scale, cost = 0.0, slack, obj, s;
 
-    for (u = 0; u < n; u++) {
+    for (q = 0; q < w->nsup; q++) {
+        u = w->sup[q];
         w->diff[u] = mu[u] - nu[u];
         if (w->diff[u] > MASS_ATOL)
             w->pos[ns++] = u;
@@ -604,6 +621,29 @@ certify:
     return 0;
 }
 
+/* The ascending union of the ascending point lists a (na entries) and b (nb
+ * entries), written to out; returns its length. */
+static npy_intp merge(const npy_intp *a, npy_intp na, const npy_intp *b,
+                      npy_intp nb, npy_intp *out)
+{
+    npy_intp i = 0, j = 0, m = 0;
+
+    while (i < na && j < nb)
+        if (a[i] < b[j])
+            out[m++] = a[i++];
+        else if (b[j] < a[i])
+            out[m++] = b[j++];
+        else {
+            out[m++] = a[i++];
+            j++;
+        }
+    while (i < na)
+        out[m++] = a[i++];
+    while (j < nb)
+        out[m++] = b[j++];
+    return m;
+}
+
 /* The integrals of (dxy - d(x',y'))_+ and _- over the plan certify_pair left
  * in w: the diagonal entries first, then the forest in sorted order.  They
  * are summed in locals, which cannot alias the plan. */
@@ -614,8 +654,8 @@ static void plan_parts(const double *mu, const double *nu, const double *D,
     npy_intp u, q, k;
     double c, p = 0.0, m = 0.0;
 
-    for (u = 0; u < n; u++)
-        if ((c = common(mu, nu, u)) > 0)
+    for (q = 0; q < w->nsup; q++)
+        if ((c = common(mu, nu, u = w->sup[q])) > 0)
             add_part(c, dxy - D[u * n + u], &p, &m);
     for (q = 0; q < w->ncell; q++) {
         k = w->cell[q];
@@ -631,8 +671,9 @@ static PyObject *solve_pairs(PyObject *Py_UNUSED(self), PyObject *args)
     PyArrayObject *P = NULL, *dist = NULL, *xs = NULL, *ys = NULL;
     PyArrayObject *res[5] = {NULL, NULL, NULL, NULL, NULL};
     void *block = NULL;
+    npy_intp *ptr = NULL, *idx = NULL;
     Work w;
-    npy_intp n, rows, npairs, k, x, y;
+    npy_intp n, rows, npairs, k, x, y, u;
     int flags = NPY_ARRAY_IN_ARRAY, f;
 
     if (!PyArg_ParseTuple(args, "OOOO:solve_pairs", &P_in, &dist_in, &xs_in,
@@ -675,19 +716,34 @@ static PyObject *solve_pairs(PyObject *Py_UNUSED(self), PyObject *args)
         if (!(res[f] = (PyArrayObject *)PyArray_SimpleNew(1, &npairs,
                                                           NPY_DOUBLE)))
             goto finish;
-    if (!(block = work_alloc(&w, n))) {
-        PyErr_NoMemory();
-        goto finish;
-    }
+    block = work_alloc(&w, n);
+    ptr = malloc((rows + 1) * sizeof *ptr);
+    if (!block || !ptr)
+        goto nomem;
     {
         const double *Pd = PyArray_DATA(P), *D = PyArray_DATA(dist);
         double *o[5], one[3];
 
+        /* The support of each row, ascending: idx[ptr[x] .. ptr[x + 1] - 1]. */
+        ptr[0] = 0;
+        for (x = 0; x < rows; x++) {
+            ptr[x + 1] = ptr[x];
+            for (u = 0; u < n; u++)
+                ptr[x + 1] += Pd[x * n + u] != 0;
+        }
+        if (!(idx = malloc(ptr[rows] * sizeof *idx + 1)))
+            goto nomem;
+        for (x = 0, k = 0; x < rows; x++)
+            for (u = 0; u < n; u++)
+                if (Pd[x * n + u] != 0)
+                    idx[k++] = u;
         for (f = 0; f < 5; f++)
             o[f] = PyArray_DATA(res[f]);
         for (k = 0; k < npairs; k++) {
             x = ((npy_intp *)PyArray_DATA(xs))[k];
             y = ((npy_intp *)PyArray_DATA(ys))[k];
+            w.nsup = merge(idx + ptr[x], ptr[x + 1] - ptr[x], idx + ptr[y],
+                           ptr[y + 1] - ptr[y], w.sup);
             if (certify_pair(Pd + x * n, Pd + y * n, D, n, &w, one) < 0) {
                 PyErr_SetString(PyExc_RuntimeError,
                                 "transportation problem infeasible");
@@ -703,8 +759,13 @@ static PyObject *solve_pairs(PyObject *Py_UNUSED(self), PyObject *args)
     out = Py_BuildValue("(NNNNN)", res[0], res[1], res[2], res[3], res[4]);
     for (f = 0; f < 5; f++)
         res[f] = NULL; /* owned by out (or released by Py_BuildValue) */
+    goto finish;
+nomem:
+    PyErr_NoMemory();
 finish:
     free(block);
+    free(ptr);
+    free(idx);
     for (f = 0; f < 5; f++)
         Py_XDECREF(res[f]);
     Py_XDECREF(P);
@@ -716,14 +777,14 @@ finish:
 
 /* (src, tgt, mass, cost, union, f, slack, gap) from the plan and dual
  * certify_pair left in w and its out = (cost, slack, gap). */
-static PyObject *pack_pair(const double *mu, const double *nu, npy_intp n,
-                           const Work *w, const double *out)
+static PyObject *pack_pair(const double *mu, const double *nu, const Work *w,
+                           const double *out)
 {
     npy_intp u, q, k, count = w->ncell, nuni = w->nuni;
     PyArrayObject *src, *tgt, *mass, *uni, *f;
 
-    for (u = 0; u < n; u++)
-        count += common(mu, nu, u) > 0;
+    for (q = 0; q < w->nsup; q++)
+        count += common(mu, nu, w->sup[q]) > 0;
     src = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_INTP);
     tgt = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_INTP);
     mass = (PyArrayObject *)PyArray_SimpleNew(1, &count, NPY_DOUBLE);
@@ -734,8 +795,8 @@ static PyObject *pack_pair(const double *mu, const double *nu, npy_intp n,
         double *m = PyArray_DATA(mass), c;
 
         count = 0;
-        for (u = 0; u < n; u++) {
-            if ((c = common(mu, nu, u)) > 0) {
+        for (q = 0; q < w->nsup; q++) {
+            if ((c = common(mu, nu, u = w->sup[q])) > 0) {
                 s[count] = t[count] = u;
                 m[count++] = c;
             }
@@ -791,13 +852,21 @@ static PyObject *solve_pair(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
         goto finish;
     }
-    if (certify_pair(PyArray_DATA(mu), PyArray_DATA(nu), PyArray_DATA(dist),
-                     n, &w, one) < 0) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "transportation problem infeasible");
-        goto finish;
+    {
+        const double *Mu = PyArray_DATA(mu), *Nu = PyArray_DATA(nu);
+        npy_intp u;
+
+        w.nsup = 0;
+        for (u = 0; u < n; u++)
+            if (Mu[u] != 0 || Nu[u] != 0)
+                w.sup[w.nsup++] = u;
+        if (certify_pair(Mu, Nu, PyArray_DATA(dist), n, &w, one) < 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "transportation problem infeasible");
+            goto finish;
+        }
+        out = pack_pair(Mu, Nu, &w, one);
     }
-    out = pack_pair(PyArray_DATA(mu), PyArray_DATA(nu), n, &w, one);
 finish:
     free(block);
     Py_XDECREF(mu);
@@ -1171,9 +1240,12 @@ typedef long long v2m __attribute__((vector_size(16)));
 
 /* Whether d[i,j] - (d[i,k] + d[k,j]) > atol for some (i, j) and some k in
  * k0 .. k0 + nk - 1, with nk <= TRIANGLE_BLOCK: one pass over the rows of d,
- * two columns at a time, tests the nk points. */
+ * two columns at a time, tests the nk points.  With half set, d is exactly
+ * symmetric and each row i is tested from column i on (from i - 1 when i
+ * is odd): the cells (i, j) and (j, i) then hold the same two terms, so
+ * their sums and slacks are equal bit for bit. */
 static inline int triangle_fails(const double *d, npy_intp n, double atol,
-                                 npy_intp k0, npy_intp nk)
+                                 npy_intp k0, npy_intp nk, int half)
 {
     npy_intp i, j, q;
     const v2d lim = {atol, atol};
@@ -1185,7 +1257,7 @@ static inline int triangle_fails(const double *d, npy_intp n, double atol,
 
         for (q = 0; q < nk; q++)
             dik[q] = (v2d){di[k0 + q], di[k0 + q]};
-        for (j = 0; j + 1 < n; j += 2) {
+        for (j = half ? i - i % 2 : 0; j + 1 < n; j += 2) {
             memcpy(&dij, di + j, sizeof dij);
             for (q = 0; q < nk; q++) {
                 memcpy(&dkj, d + (k0 + q) * n + j, sizeof dkj);
@@ -1201,24 +1273,38 @@ static inline int triangle_fails(const double *d, npy_intp n, double atol,
     return (any[0] | any[1]) != 0;
 }
 
+/* Whether the (n x n) table d equals its transpose exactly. */
+static int symmetric(const double *d, npy_intp n)
+{
+    npy_intp i, j;
+
+    for (i = 0; i < n; i++)
+        for (j = i + 1; j < n; j++)
+            if (d[i * n + j] != d[j * n + i])
+                return 0;
+    return 1;
+}
+
 /* The triangle check of _mcf_py.triangle_violation on the (n x n) table d:
  * the first k with d[i,j] - (d[i,k] + d[k,j]) > atol for some (i, j), and the
  * first (i, j) in row-major order where that slack is largest at that k, as
  * np.argmax finds it, in w = (k, i, j).  Returns 1 when some k fails, else
- * 0.  Points are tested TRIANGLE_BLOCK at a time; a block that fails is
- * tested again point by point, and the first point that fails is scanned
- * for its witness. */
+ * 0.  Points are tested TRIANGLE_BLOCK at a time, on one half of d when d
+ * is exactly symmetric; a block that fails is tested again point by point,
+ * and the first point that fails is scanned over all of d for its
+ * witness. */
 static int triangle_witness(const double *d, npy_intp n, double atol,
                             npy_intp *w)
 {
     npy_intp i, j, k, nk;
     double s, worst;
+    int half = symmetric(d, n);
 
     for (k = 0; k < n; k += nk) {
         nk = n - k < TRIANGLE_BLOCK ? 1 : TRIANGLE_BLOCK;
-        if (!triangle_fails(d, n, atol, k, nk))
+        if (!triangle_fails(d, n, atol, k, nk, half))
             continue;
-        while (!triangle_fails(d, n, atol, k, 1))
+        while (!triangle_fails(d, n, atol, k, 1, half))
             k++;
         worst = -INFINITY;
         w[1] = w[2] = 0;
@@ -1264,6 +1350,96 @@ static PyObject *triangle_violation(PyObject *Py_UNUSED(self), PyObject *args)
         Py_RETURN_NONE;
     return Py_BuildValue("(nnn)", (Py_ssize_t)w[0], (Py_ssize_t)w[1],
                          (Py_ssize_t)w[2]);
+}
+
+/* The one-hop geodesic certificate of _mcf_py.geodesic_certificate on the
+ * (n x n) table d: 1 when every ordered pair s != t is joined by an edge of
+ * the hop graph, or has an edge s-k with d[k,t] < d[s,t] and
+ * w(s,k) + d[k,t] <= d[s,t]; 0 when some pair has neither, or when some hop
+ * is negative; -1 when memory runs out.  An entry is a hop when it is at
+ * most lim, and s-k is an edge of weight w(s,k) when w(s,k), the smaller of
+ * the hops among d[s,k] and d[k,s], is positive and finite.  One source s
+ * at a time: its edges are listed and marked, then every t is tested,
+ * stopping at the first pair that fails. */
+static int geodesic_holds(const double *d, npy_intp n, double lim)
+{
+    npy_intp s, t, k, q, deg;
+    npy_intp *nbr = malloc(n * sizeof *nbr + 1);
+    double *len = malloc(n * sizeof *len + 1), a, b, w, dst, dkt;
+    char *edge = calloc(n + 1, 1);
+    int holds = 1;
+
+    if (!nbr || !len || !edge) {
+        holds = -1;
+        goto finish;
+    }
+    for (s = 0; s < n && holds == 1; s++) {
+        const double *ds = d + s * n;
+
+        for (k = 0, deg = 0; k < n; k++) {
+            a = ds[k];
+            b = d[k * n + s];
+            if (k == s || !(a <= lim || b <= lim))
+                continue;
+            w = !(b <= lim) || (a <= lim && a < b) ? a : b;
+            if (w < 0) {
+                holds = 0;
+                break;
+            }
+            if (w > 0 && w < INFINITY) {
+                nbr[deg] = k;
+                len[deg++] = w;
+                edge[k] = 1;
+            }
+        }
+        for (t = 0; t < n && holds == 1; t++) {
+            if (t == s || edge[t])
+                continue;
+            dst = ds[t];
+            for (q = 0; q < deg; q++) {
+                dkt = d[nbr[q] * n + t];
+                if (dkt < dst && len[q] + dkt <= dst)
+                    break;
+            }
+            if (q == deg)
+                holds = 0;
+        }
+        for (q = 0; q < deg; q++)
+            edge[nbr[q]] = 0;
+    }
+finish:
+    free(nbr);
+    free(len);
+    free(edge);
+    return holds;
+}
+
+static PyObject *geodesic_certificate(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *dist_in;
+    PyArrayObject *dist;
+    double lim;
+    npy_intp n;
+    int holds;
+
+    if (!PyArg_ParseTuple(args, "Od:geodesic_certificate", &dist_in, &lim))
+        return NULL;
+    dist = (PyArrayObject *)PyArray_FROMANY(dist_in, NPY_DOUBLE, 2, 2,
+                                            NPY_ARRAY_IN_ARRAY);
+    if (!dist)
+        return NULL;
+    n = PyArray_DIM(dist, 0);
+    if (PyArray_DIM(dist, 1) != n) {
+        PyErr_Format(PyExc_ValueError, "distance table is %zd x %zd, not square",
+                     (Py_ssize_t)n, (Py_ssize_t)PyArray_DIM(dist, 1));
+        Py_DECREF(dist);
+        return NULL;
+    }
+    holds = geodesic_holds(PyArray_DATA(dist), n, lim);
+    Py_DECREF(dist);
+    if (holds < 0)
+        return PyErr_NoMemory();
+    return PyBool_FromLong(holds);
 }
 
 /* Vertices of the 1-Lipschitz polytope {f : |f(a) - f(b)| <= d(a,b),
@@ -1537,6 +1713,8 @@ static PyMethodDef methods[] = {
      "See coricci.transport._mcf_py.solve_pairs."},
     {"triangle_violation", triangle_violation, METH_VARARGS,
      "See coricci.transport._mcf_py.triangle_violation."},
+    {"geodesic_certificate", geodesic_certificate, METH_VARARGS,
+     "See coricci.transport._mcf_py.geodesic_certificate."},
     {"lipschitz_vertices", lipschitz_vertices, METH_VARARGS,
      "See coricci.transport._mcf_py.lipschitz_vertices."},
     {"skeleton", skeleton, METH_VARARGS,
@@ -1550,7 +1728,7 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
     "Compiled transport kernel: dense transportation, single certified pairs, "
     "batched pair scans, the triangle check of distance tables, the "
-    "vertices of the 1-Lipschitz polytope behind exact maxVar, and W1 as a "
+    "one-hop geodesic certificate, the vertices of the 1-Lipschitz polytope behind exact maxVar, and W1 as a "
     "min-cost flow on the 1-skeleton of a metric.",
     -1, methods, NULL, NULL, NULL, NULL,
 };

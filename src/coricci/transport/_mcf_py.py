@@ -1,7 +1,8 @@
 """Pure-Python transport kernel: successive shortest paths for dense
 transportation, the reduction of a plan to a forest, the single-pair solve
 and batched pair scan built on both, the triangle check that
-coricci.metric runs on every distance table, the enumeration of the
+coricci.metric runs on every distance table, its one-hop geodesic
+certificate, the enumeration of the
 vertices of the 1-Lipschitz polytope behind coricci.chain's exact maxVar,
 and W1 as a min-cost flow on the 1-skeleton of a metric (skeleton and
 solve_flow).
@@ -24,7 +25,7 @@ import numpy as np
 # The kernel interface: what the C extension exports, function for function.
 __all__ = [
     "solve_transport", "solve_pair", "solve_pairs", "triangle_violation",
-    "lipschitz_vertices", "skeleton", "solve_flow",
+    "geodesic_certificate", "lipschitz_vertices", "skeleton", "solve_flow",
 ]
 
 _MASS_EPS = 1e-15
@@ -558,6 +559,39 @@ def triangle_violation(dist, atol):
             i, j = np.unravel_index(np.argmax(slack), slack.shape)
             return k, int(i), int(j)
     return None
+
+
+def geodesic_certificate(dist, hop_limit):
+    """Whether every ordered pair s != t of the (n, n) table dist is joined
+    by an edge of the hop graph, or has an edge s-k that starts a shortest
+    path to t: dist[k, t] < dist[s, t] and w(s, k) + dist[k, t] <= dist[s, t],
+    compared exactly.
+
+    The hops are the entries at most hop_limit; s-k is an edge of weight
+    w(s, k), the smaller of the hops among dist[s, k] and dist[k, s], when
+    that is positive and finite.  Returns False, for the caller's exact
+    search to decide, when some pair fails or some hop is negative.
+    Raises ValueError when dist is not square.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.ndim != 2 or dist.shape[1] != n:
+        raise ValueError(f"distance table is {n} x {dist.shape[-1]}, not square")
+    hop = np.where(dist <= hop_limit, dist, np.inf)
+    w = np.minimum(hop, hop.T)
+    np.fill_diagonal(w, np.inf)
+    if np.any(w < 0):
+        return False
+    edge = (w > 0) & np.isfinite(w)
+    for s in range(n):
+        k = np.flatnonzero(edge[s])
+        dk, ds = dist[k], dist[s]
+        ahead = (dk < ds) & (w[s, k][:, None] + dk <= ds)
+        reached = edge[s] | ahead.any(axis=0)
+        reached[s] = True
+        if not reached.all():
+            return False
+    return True
 
 
 def lipschitz_vertices(dist):

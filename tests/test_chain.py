@@ -54,6 +54,35 @@ def test_unknown_point():
         build_chain(TWO_POINT, {0: {0: 1.0}, 1: {2: 1.0}})
 
 
+THREE_POINT = space_from_matrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ({"a": {"a": 1.0}, "x": {"a": 1.0}, "b": {"y": 1.0}}, UnknownPoint,
+     "row key 'x' is not a point of the space"),
+    ({"a": {"a": 0.5, "y": 0.5}, "b": {"z": 1.0}}, UnknownPoint,
+     "target 'y' in row of 'a' is not a point"),
+    ({"a": {"a": "half", "y": 0.5}}, ValueError, "could not convert string to float: 'half'"),
+    ({"a": {"y": "half"}}, UnknownPoint, "target 'y' in row of 'a' is not a point"),
+    ({"a": {"a": 1.0}, "b": {"b": 0.5, "c": None}, "x": {}}, TypeError, "float"),
+    ({"a": {"a": 1.0}, "b": [("b", 1.0)]}, AttributeError, "items"),
+    ({"c": {"c": 1.0}, "a": {"a": 1.0}}, RowNotStochastic, "no row supplied for point 'b'"),
+])
+def test_sparse_rows_name_their_first_bad_entry(rows, error, message):
+    """The rows are filled in with one scatter, and a bad row names the
+    first offender in the order the rows and their entries are listed, as
+    an entry-by-entry fill does: an unknown row key or target, a probability
+    that is not a number, a row that is not a dict, or a missing row."""
+    with pytest.raises(error, match=message):
+        build_chain(THREE_POINT, rows)
+
+
+def test_sparse_rows_fill_the_dense_kernel():
+    rows = {"c": {"b": 0.25, "c": 0.75}, "a": {"c": 0.5, "a": 0.5}, "b": {"b": np.float32(1)}}
+    expected = np.array([[0.5, 0, 0.5], [0, 1, 0], [0, 0.25, 0.75]])
+    assert np.array_equal(build_chain(THREE_POINT, rows).dense(), expected)
+
+
 def test_lazy_cube_rows(cube4):
     row = cube4.row((0, 0, 0, 0))
     i = cube4.space.index((0, 0, 0, 0))

@@ -159,6 +159,31 @@ def test_parse_rejects_kernel_entries_that_are_not_pairs(runner, tmp_path, kerne
     assert (res.exit_code, res.output) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("kernel, message", [
+    ({"a": [["a", "x"]], "b": [["b", "1.0", "x"]]},
+     "field 'kernel.a': malformed (could not convert string to float: 'x')"),
+    ({"a": [["a", "0.5"], ["a", "0.5"]], "b": "b1"},
+     "field 'kernel.a': target 'a' listed more than once"),
+    ({"a": [["a", "1.0"]], "b": [["b", "1.0"]], "c": [["c", "1.0"], ["c", "1.0"]]},
+     "field 'kernel.c': target 'c' listed more than once"),
+    ({"a": [["a", "0.5"], ["c", "0.5"]], "b": [["d", "1.0"]]},
+     "field 'kernel': target 'c' in row of 'a' is not a point"),
+    ({"a": [["a", "1.0"]], "c": [["a", "1.0"]], "b": [["d", "1.0"]]},
+     "field 'kernel': row key 'c' is not a point of the space"),
+    ({"b": [["b", "1.0"]]}, "field 'kernel': no row supplied for point 'a'"),
+])
+def test_parse_names_the_first_bad_kernel_row(kernel, message):
+    """Each row is checked in turn, so the first bad row is named, whichever
+    way a later row is bad; then the first unknown point, then the first
+    point without a row."""
+    doc = {"format_version": 1, "points": ["a", "b"],
+           "metric": {"type": "matrix", "payload": [["0.0", "1.0"], ["1.0", "0.0"]]},
+           "kernel": kernel}
+    with pytest.raises(ChainFileError) as exc:
+        parse_chain(doc)
+    assert str(exc.value) == message
+
+
 def test_save_names_the_points_whose_names_collide(tmp_path):
     """A chain file names points by their strings, so the points 1 and "1"
     cannot both be written; the error names them and writes no file."""
@@ -272,6 +297,80 @@ def test_commands_without_geodesic_load_no_scipy(tmp_path):
     assert not kernel.flags.writeable
     with pytest.raises(ValueError):
         kernel[0, 0] = 0.0
+
+
+def test_geodesic_scan_loads_no_scipy(tmp_path):
+    """`coricci curvature --geodesic 1` on cube 4 runs in a fresh
+    interpreter without importing scipy: the one-hop certificate decides
+    the geodesic test."""
+    path = str(tmp_path / "cube4.json")
+    save_chain(gallery.cube(4), path)
+    script = (
+        "import sys, json, coricci.cli\n"
+        "try:\n"
+        "    coricci.cli.main.main(args=['curvature', sys.argv[1], '--geodesic', '1'],\n"
+        "                          prog_name='coricci')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coricci.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1]) == []
+    doc = json.loads("\n".join(lines[:-1]))
+    assert doc["mode"] == "geodesic(1)" and len(doc["pairs"]) == 32
+
+
+@pytest.mark.parametrize("preset, params, pairs", [
+    ("cube", {"N": 4}, 32),
+    ("cube", {"N": 8}, 1024),
+    ("glauber", {"graph": "cycle:4", "beta": 0.2}, 32),
+    ("glauber", {"graph": "cycle:8", "beta": 0.2}, 1024),
+    ("binomial", {"N": 20, "p": 0.5}, 20),
+])
+def test_geodesic_scan_needs_no_shortest_path_search(runner, tmp_path, monkeypatch,
+                                                     preset, params, pairs):
+    """On the cube, Glauber and birth-death presets the one-hop certificate
+    decides the geodesic test: with scipy's shortest_path made to raise,
+    `curvature --geodesic 1` still scans every hop."""
+    import scipy.sparse.csgraph
+
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("shortest_path called")
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", no_search)
+    path = str(tmp_path / "chain.json")
+    save_chain(gallery.generate(gallery.PresetSpec(preset, params)), path)
+    res = runner.invoke(main, ["curvature", path, "--geodesic", "1"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["pairs"]) == pairs
+
+
+@pytest.mark.parametrize("args, options, message", [
+    (["--delta", "-1"], {"delta": -1.0}, "delta must be finite and >= 0, not -1.0"),
+    (["--delta", "nan"], {"delta": math.nan}, "delta must be finite and >= 0, not nan"),
+    (["--delta", "inf"], {"delta": math.inf}, "delta must be finite and >= 0, not inf"),
+    (["--delta", "-inf", "--geodesic", "1"], {"delta": -math.inf, "mode": "geodesic", "eps": 1},
+     "delta must be finite and >= 0, not -inf"),
+    (["--geodesic", "nan"], {"mode": "geodesic", "eps": math.nan}, "geodesic mode requires eps > 0"),
+    (["--geodesic", "-1"], {"mode": "geodesic", "eps": -1.0}, "geodesic mode requires eps > 0"),
+    (["--geodesic", "0"], {"mode": "geodesic", "eps": 0.0}, "geodesic mode requires eps > 0"),
+])
+def test_curvature_rejects_bad_delta_and_eps(runner, tmp_path, args, options, message):
+    """A negative or non-finite delta and an eps that is not > 0 are input
+    errors, in kappa_global and on the command line: exit 2 and one line,
+    where a negative delta used to print curvatures above the true ones and
+    a NaN delta a report that is not JSON."""
+    path = str(tmp_path / "cube4.json")
+    save_chain(gallery.cube(4), path)
+    res = runner.invoke(main, ["curvature", path, *args])
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
+    with pytest.raises(ValueError) as exc:
+        kappa_global(load_chain(path), **options)
+    assert str(exc.value) == message
 
 
 # ------------------------------------------------------------------- CLI

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,26 @@ def _dense_is_epsilon_geodesic(space, eps):
     return True, None
 
 
+def _geodesic_case(kind, n, seed, eps):
+    """A distance table of n points: for kind "graph", a shortest-path
+    metric whose edges are shorter than eps, at eps, up to METRIC_ATOL above
+    it, just beyond that or longer, with a third of the entries moved by up
+    to 1e-12 each, so some are hops one way only; for "line" and "plane",
+    real-valued points, whose sums round."""
+    rng = np.random.default_rng(seed)
+    if kind == "graph":
+        lengths = np.concatenate([eps + np.array([0.0, 0.5, 1.0, 1.5]) * METRIC_ATOL,
+                                  [0.5 * eps, 1.7 * eps]])
+        weights = np.triu(rng.choice(lengths, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        weights[np.arange(n - 1), np.arange(1, n)] = rng.choice(lengths, size=n - 1)
+        dist = shortest_path(weights + weights.T, method="D", directed=False)
+        dist += np.where(rng.random((n, n)) < 1 / 3, rng.uniform(-1e-12, 1e-12, (n, n)), 0.0)
+        np.fill_diagonal(dist, 0.0)
+        return dist
+    pts = rng.random((n, 1 if kind == "line" else 2)) * eps * rng.choice([1, 3, 10])
+    return np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
        eps=st.sampled_from([0.1, 1.0, 2.5]))
@@ -158,16 +180,54 @@ def test_geodesic_test_matches_the_dense_hop_matrix(n, seed, eps):
     on shortest-path metrics whose edges are shorter than eps, at eps, up to
     METRIC_ATOL above it, just beyond that or longer, with a third of the
     entries moved by up to 1e-12 each, so some are hops one way only."""
-    rng = np.random.default_rng(seed)
-    lengths = np.concatenate([eps + np.array([0.0, 0.5, 1.0, 1.5]) * METRIC_ATOL,
-                              [0.5 * eps, 1.7 * eps]])
-    weights = np.triu(rng.choice(lengths, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
-    weights[np.arange(n - 1), np.arange(1, n)] = rng.choice(lengths, size=n - 1)
-    dist = shortest_path(weights + weights.T, method="D", directed=False)
-    dist += np.where(rng.random((n, n)) < 1 / 3, rng.uniform(-1e-12, 1e-12, (n, n)), 0.0)
-    np.fill_diagonal(dist, 0.0)
-    space = FiniteMetricSpace(tuple(range(n)), dist)
+    space = FiniteMetricSpace(tuple(range(n)), _geodesic_case("graph", n, seed, eps))
     assert is_epsilon_geodesic(space, eps) == _dense_is_epsilon_geodesic(space, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["graph", "line", "plane"]), n=st.integers(2, 10),
+       seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.1, 1.0, 2.5]))
+def test_geodesic_certificate_implies_the_dijkstra_test(kind, n, seed, eps):
+    """Wherever the one-hop certificate holds, the dense Dijkstra test finds
+    the space eps-geodesic; both kernels give the same certificate; and
+    is_epsilon_geodesic returns the dense test's verdict and witness pair
+    either way.  On the line and plane tables, rounding also makes the
+    certificate fail where the test holds within GEODESIC_RTOL, so the
+    search decides there."""
+    dist = _geodesic_case(kind, n, seed, eps)
+    certificates = {kernel.geodesic_certificate(dist, eps + METRIC_ATOL) for kernel in KERNELS}
+    assert len(certificates) == 1
+    space = FiniteMetricSpace(tuple(range(n)), dist)
+    dense = _dense_is_epsilon_geodesic(space, eps)
+    if certificates.pop():
+        assert dense == (True, None)
+    assert is_epsilon_geodesic(space, eps) == dense
+
+
+def test_fallback_decides_where_rounding_defeats_the_certificate(monkeypatch):
+    """d(0, 2) = 0.3 while 0.1 + 0.2 rounds to 0.30000000000000004, so the
+    certificate fails in both directions; the space is still 0.2-geodesic
+    within GEODESIC_RTOL, and the Dijkstra search, which then runs, says
+    so.  At 0.15 the point 2 has no hop, and the search names (0, 2)."""
+    import scipy.sparse.csgraph
+
+    space = space_from_matrix(range(3), [[0, 0.1, 0.3], [0.1, 0, 0.2], [0.3, 0.2, 0]])
+    calls = []
+    search = scipy.sparse.csgraph.shortest_path
+    monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path",
+                        lambda *a, **k: calls.append(1) or search(*a, **k))
+    for kernel in KERNELS:
+        assert not kernel.geodesic_certificate(space.dist, 0.2 + METRIC_ATOL)
+        monkeypatch.setattr(transport, "_kernel", kernel)
+        assert is_epsilon_geodesic(space, 0.2) == (True, None)
+        assert is_epsilon_geodesic(space, 0.15) == (False, (0, 2))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_geodesic_test_rejects_eps_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        is_epsilon_geodesic(gallery.cube(2).space, eps)
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -228,6 +288,55 @@ def test_triangle_check_is_the_same_on_both_kernels(n, seed, graph, bump):
             messages.append(_metric_or_violation(dist))
     assert messages[0] == messages[1]
     assert (witness is None) == (messages[0] is None)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_triangle_check_tests_every_cell(n):
+    """On n points at distance 1 from each other, with d(i, j) = d(j, i) =
+    2.5 for one pair, the triangle inequality fails at (i, j) and (j, i)
+    alone; both kernels name it, for every pair of a table of odd or even
+    size, so the compiled kernel's scan of one half of a symmetric table
+    leaves no cell out."""
+    for i, j in itertools.combinations(range(n), 2):
+        dist = np.ones((n, n)) - np.eye(n)
+        dist[i, j] = dist[j, i] = 2.5
+        for kernel in KERNELS:
+            k = min(set(range(n)) - {i, j})
+            assert kernel.triangle_violation(dist, METRIC_ATOL) == (k, i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+    graph=st.booleans(),
+    bump=st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 1e9]),
+)
+def test_triangle_check_is_the_same_on_asymmetric_tables(n, seed, graph, bump):
+    """As test_triangle_check_is_the_same_on_both_kernels, on tables that
+    are asymmetric within METRIC_ATOL, as space_from_matrix accepts them: a
+    third of the entries moved by up to METRIC_ATOL / 2, and one entry
+    raised on one side of the diagonal only.  The compiled kernel scans one
+    half of a symmetric table only, so these take its full scan."""
+    compiled = pytest.importorskip("coricci.transport._mcf_cy")
+    rng = np.random.default_rng(seed)
+    if graph:
+        weights = np.triu(rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        weights[np.arange(n - 1), np.arange(1, n)] = 1
+        dist = shortest_path(weights + weights.T, method="D", directed=False)
+    else:
+        pts = rng.random((n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    dist += np.where(rng.random((n, n)) < 1 / 3,
+                     rng.uniform(0, METRIC_ATOL / 2, (n, n)), 0.0)
+    np.fill_diagonal(dist, 0.0)
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        dist[i, j] += bump * METRIC_ATOL
+    witness = _mcf_py.triangle_violation(dist, METRIC_ATOL)
+    assert compiled.triangle_violation(dist, METRIC_ATOL) == witness
+    assert compiled.triangle_violation(dist.T.copy(), METRIC_ATOL) == \
+        _mcf_py.triangle_violation(dist.T, METRIC_ATOL)
 
 
 def _skeleton_pairs(indptr, indices):

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from coricci import transport
 from coricci.chain import invariant_distribution, local_stats, max_var_lipschitz, push_forward
-from coricci.curvature import contraction_check
+from coricci.curvature import contraction_check, kappa
 from coricci.errors import Infeasible
 from coricci.gallery import binomial, cube, glauber
 from coricci.metric import build_space, space_from_matrix
@@ -266,6 +266,39 @@ def test_backends_agree(monkeypatch):
             assert np.array_equal(x_py, x_c)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), grid=st.booleans())
+def test_solve_pairs_backends_agree_on_rows_with_interleaved_zeros(n, seed, grid):
+    """The compiled scan visits only the points in the support of either
+    row, merged from each row's support; every sum keeps its order, so it
+    gives the pure-Python kernel's bits on rows whose zeros (some -0.0)
+    fall between their masses, on pairs of distinct and of equal rows,
+    and solve_pair does too."""
+    _mcf_cy = pytest.importorskip("coricci.transport._mcf_cy")
+    rng = np.random.default_rng(seed)
+    if grid:
+        pts = rng.integers(0, 4, size=(n, 2))
+        dist = np.abs(pts[:, None] - pts[None, :]).sum(axis=2).astype(float)
+        dist += 3 * (1 - np.eye(n)) * (dist == 0)  # repeated cells kept apart
+    else:
+        pts = rng.random((n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < rng.uniform(0.1, 0.9))
+    P[np.arange(n), rng.integers(0, n, size=n)] += 0.5
+    P /= P.sum(axis=1, keepdims=True)
+    P[(P == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    I = rng.integers(0, n, size=2 * n)
+    J = np.where(rng.random(2 * n) < 0.1, I, rng.integers(0, n, size=2 * n))
+    out_py = _mcf_py.solve_pairs(P, dist, I, J)
+    out_c = _mcf_cy.solve_pairs(P, dist, I, J)
+    for x_py, x_c in zip(out_py, out_c):
+        assert np.array_equal(x_py, x_c)
+    for x, y in zip(I[:5], J[:5]):
+        for x_py, x_c in zip(_mcf_py.solve_pair(P[x], P[y], dist),
+                             _mcf_cy.solve_pair(P[x], P[y], dist)):
+            assert np.array_equal(x_py, x_c)
+
+
 def test_kernels_agree_where_the_supply_total_rounds():
     """Both kernels stop when the supply total minus every augmentation falls
     below 1e-15 of the total, so they must take the total in the same order.
@@ -372,6 +405,8 @@ def test_kernels_reject_mismatched_sizes():
             kernel.solve_pair(third, third, cost[:2])
         with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
             kernel.skeleton(cost[:2])
+        with pytest.raises(ValueError, match="distance table is 2 x 3, not square"):
+            kernel.geodesic_certificate(cost[:2], 1.0)
         indptr, indices = np.array([0, 2, 3, 3]), np.array([1, 2, 2])
         with pytest.raises(ValueError, match="2 and 3 entries for a 3 x 3 dist"):
             kernel.solve_flow(half, third, cost, indptr, indices)
@@ -543,6 +578,26 @@ def test_w1_cost_failure_messages(cube4, monkeypatch, name):
         assert str(err.value) == expected
     with pytest.raises(Infeasible, match="distribution size does not match space"):
         w1_cost(Distribution([0.5, 0.5]), nu, space)
+
+
+def test_distribution_leaves_the_callers_array_writeable():
+    """A Distribution keeps read-only weights of its own: the caller's
+    array stays writeable, and writing to it changes neither."""
+    a = np.array([0.5, 0.5])
+    mu = Distribution(a)
+    a[0] = 0.1
+    assert a.flags.writeable and a[0] == 0.1
+    assert np.array_equal(mu.weights, [0.5, 0.5])
+    assert not mu.weights.flags.writeable
+    with pytest.raises(ValueError):
+        mu.weights[0] = 0.1
+
+
+def test_kappa_rejects_bad_delta(cube4):
+    x, y = cube4.space.points[:2]
+    for delta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            kappa(cube4, x, y, delta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
