@@ -16,7 +16,7 @@ from .errors import (
     SupportTooLarge,
     UnknownPoint,
 )
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, read_only
 from .transport import MASS_ATOL, Distribution
 
 ROW_ATOL = 1e-10
@@ -49,7 +49,7 @@ class Chain:
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self.kernel.setflags(write=False)
+        object.__setattr__(self, "kernel", read_only(self.kernel))
 
     @property
     def n(self) -> int:
@@ -156,6 +156,7 @@ def build_chain(space: FiniteMetricSpace, rows, dt=None) -> Chain:
         mat = np.where(off[:, None], mat / sums[:, None], mat)
     if dt is not None and dt <= 0:
         raise ValueError("dt must be positive")
+    mat.setflags(write=False)
     return Chain(space, mat, None if dt is None else float(dt))
 
 
@@ -174,6 +175,7 @@ def n_step(chain: Chain, n: int) -> Chain:
         k >>= 1
         if k:
             power = power @ power
+    result.setflags(write=False)
     return Chain(chain.space, result, chain.dt)
 
 

@@ -432,4 +432,5 @@ def tensorize(chains, alphas) -> Chain:
         rows = c.dense()[x]
         s, j = np.nonzero(rows > 0)
         P[s, s + (j - x[s]) * stride] += alpha * rows[s, j]
+    dist.setflags(write=False)
     return build_chain(FiniteMetricSpace(points, dist), P)

@@ -36,7 +36,7 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", _point_index(self.points))
-        self.dist.setflags(write=False)
+        object.__setattr__(self, "dist", read_only(self.dist))
 
     @property
     def n(self) -> int:
@@ -76,6 +76,14 @@ class FiniteMetricSpace:
                 a.setflags(write=False)
             object.__setattr__(self, "_skeleton", arrays)
         return self._skeleton
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a if it is read-only, else a read-only copy: the caller's array stays writeable."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 def _point_index(points) -> dict:
@@ -127,6 +135,7 @@ def space_from_matrix(points, matrix) -> FiniteMetricSpace:
     if len(points) != dist.shape[0]:
         raise MetricViolation("point count does not match matrix size")
     _validate_metric(dist)
+    dist.setflags(write=False)
     return FiniteMetricSpace(tuple(points), dist)
 
 
@@ -155,7 +164,8 @@ def space_from_edges(points, edges) -> FiniteMetricSpace:
     dist = shortest_path(graph, method="D", directed=False)
     if np.any(np.isinf(dist)):
         raise DisconnectedGraph("edge list does not connect all points")
-    return FiniteMetricSpace(points, np.asarray(dist, dtype=np.float64))
+    dist.setflags(write=False)
+    return FiniteMetricSpace(points, dist)
 
 
 def build_space(source, points=None) -> FiniteMetricSpace:

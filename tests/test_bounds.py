@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coricci as c
 from coricci import bounds, gallery
@@ -40,7 +42,9 @@ def test_spectral_cube5_sharp(cube5):
     rep = bounds.spectral_report(cube5, 1 / 5)
     assert rep.spectral_radius == pytest.approx(1 - 1 / 5, abs=1e-9)
     assert len(rep.eigenvalue_moduli) == 31
-    assert rep.reversible and rep.poincare.holds
+    assert rep.reversible
+    assert rep.poincare_local_ratio == pytest.approx(1.0, abs=1e-11)
+    assert rep.poincare_gradient_ratio == pytest.approx(1.0, abs=1e-11)
 
 
 def test_spectral_two_point_symmetric():
@@ -57,19 +61,93 @@ def test_spectral_one_step_mixing(two_point_mixing):
 
 
 def test_poincare_ratios_hold(cube4, binom20, kappa_cache):
+    """Prop. 29 is sharp on cube 4 and binomial 20, so both Cor. 30 ratios
+    are 1."""
     for chain in (cube4, binom20):
         k = kappa_cache(chain).global_kappa
         rep = bounds.spectral_report(chain, k)
-        assert rep.poincare.holds
-        assert rep.poincare_local_ratio <= 1 + 1e-9
-        assert rep.poincare_gradient_ratio <= 1 + 1e-9
+        assert rep.poincare_local_ratio == pytest.approx(1.0, abs=1e-11)
+        assert rep.poincare_gradient_ratio == pytest.approx(1.0, abs=1e-11)
 
 
 def test_poincare_not_applicable_nonreversible(reset_chain):
     rep = bounds.spectral_report(reset_chain, 0.5)
-    assert not rep.reversible and rep.poincare is None
+    assert not rep.reversible
     assert rep.poincare_local_ratio is None
     assert rep.poincare_gradient_ratio is None
+
+
+def test_spectral_one_point_chain():
+    """A one-point chain has no mean-zero function: an empty spectrum, and
+    both Poincare ratios 0."""
+    chain = Chain(space_from_matrix([0], [[0.0]]), np.ones((1, 1)))
+    rep = bounds.spectral_report(chain, 0.5)
+    assert len(rep.eigenvalue_moduli) == 0 and rep.spectral_radius == 0.0
+    assert rep.poincare_local_ratio == rep.poincare_gradient_ratio == 0.0
+
+
+def _reversible_chain(n, seed):
+    """P = W / rowsum for a random symmetric W > 0 on the discrete metric,
+    its curvature, and a generator for further random draws."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.1, 1.0, size=(n, n))
+    W = W + W.T
+    space = space_from_matrix(list(range(n)), 1.0 - np.eye(n))
+    chain = build_chain(space, W / W.sum(axis=1, keepdims=True))
+    return chain, c.kappa_global(chain).global_kappa, rng
+
+
+def _poincare_ratios(chain, f, kappa):
+    """Var_nu f over the right-hand sides of Cor. 30's local and gradient
+    forms."""
+    nu, _reversible, _unique = invariant_distribution(chain)
+    P = chain.dense()
+    local = nu.weights @ (P @ f ** 2 - (P @ f) ** 2) / (kappa * (2 - kappa))
+    gradient = nu.weights @ ((f[None, :] - f[:, None]) ** 2 * P).sum(axis=1) / (2 * kappa)
+    return nu.variance(f) / local, nu.variance(f) / gradient
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_poincare_ratios_are_suprema(n, seed):
+    """No function exceeds the closed-form Cor. 30 ratios, and the top
+    mean-zero eigenvectors reach them."""
+    chain, kappa, rng = _reversible_chain(n, seed)
+    rep = bounds.spectral_report(chain, kappa)
+    assert rep.reversible
+    for _ in range(20):
+        local, gradient = _poincare_ratios(chain, rng.normal(size=n), kappa)
+        assert local <= rep.poincare_local_ratio + 1e-9
+        assert gradient <= rep.poincare_gradient_ratio + 1e-9
+    # P is self-adjoint in L^2(nu): eigenvectors f = phi / sqrt(nu) of the
+    # symmetric sqrt(nu) P / sqrt(nu); the last is the constant, eigenvalue 1.
+    root = np.sqrt(invariant_distribution(chain)[0].weights)
+    values, vectors = np.linalg.eigh(root[:, None] * chain.dense() / root[None, :])
+    values, fs = values[:-1], (vectors / root[:, None])[:, :-1]
+    local = _poincare_ratios(chain, fs[:, np.argmax(np.abs(values))], kappa)[0]
+    gradient = _poincare_ratios(chain, fs[:, np.argmax(values)], kappa)[1]
+    assert local == pytest.approx(rep.poincare_local_ratio, abs=1e-9)
+    assert gradient == pytest.approx(rep.poincare_gradient_ratio, abs=1e-9)
+
+
+# At most 9 states: on the discrete metric, the exact local dimension of
+# each full row of 12 points takes about a second.
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_tail_is_worst_at_its_jump_points(n, seed):
+    """On a dense grid of t, the Thm. 32 tail exceeds the bound by no more
+    than it does at the jump points that gaussian_concentration checks."""
+    chain, kappa, rng = _reversible_chain(n, seed)
+    f = rng.uniform(0.0, 1.0, size=n)  # 1-Lipschitz on the discrete metric
+    rep = c.gaussian_concentration(chain, f, kappa)
+    nu = invariant_distribution(chain)[0]
+    jumps = f - nu.mean(f)
+    grid = np.linspace(0.0, 1.5 * max(jumps.max(), rep.t_max), 4001)
+    tails = np.array([nu.weights[jumps >= t - 1e-12].sum() for t in grid])
+    denom = max(2 * rep.C, 3 * rep.sigma_inf)
+    bound = np.exp(-np.minimum(grid, rep.t_max) ** 2 / (6 * rep.D2)
+                   - np.maximum(grid - rep.t_max, 0.0) / denom)
+    assert np.max(tails - bound) <= np.max(rep.exact_tails - rep.bounds) + 1e-12
 
 
 # ------------------------------------------------------------ Bonnet-Myers
@@ -136,6 +214,20 @@ def test_gaussian_concentration_mm60(mm60):
     rep = c.gaussian_concentration(mm60, np.arange(61, dtype=float), mm60.dt)
     assert rep.holds
     assert rep.D2 == pytest.approx(6.0, rel=0.05)  # 2 lam / mu
+
+
+def test_gaussian_concentration_mm_infty_tightest_at_a_jump():
+    """mm_infty (lambda 2, mu 1, dt 0.001, K 25) with f the distance to 0:
+    the smallest margin of Thm. 32, 8.5e-4, is at its last jump point
+    t = 25 - E f = 23."""
+    chain = gallery.mm_infty(2.0, 1.0, 0.001, K=25)
+    f = chain.space.dist[:, 0]
+    rep = c.gaussian_concentration(chain, f, c.kappa_global(chain).global_kappa)
+    assert rep.t[0] == 0.0 and np.all(np.diff(rep.t) > 0)
+    margins = rep.bounds - rep.exact_tails
+    assert rep.holds and np.argmin(margins) == len(rep.t) - 1
+    assert margins[-1] == pytest.approx(8.5e-4, rel=0.01)
+    assert rep.t[-1] == pytest.approx(23.0, abs=1e-12)
 
 
 def test_gaussian_concentration_two_point(two_point_mixing):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import coricci as c
 from coricci.chain import (
+    Chain,
     averaging,
     build_chain,
     invariant_distribution,
@@ -398,3 +399,13 @@ def test_lipschitz_constant_matches_bruteforce():
         if i != j
     )
     assert lipschitz_constant(space, f) == pytest.approx(expected, abs=1e-12)
+
+
+def test_chain_leaves_the_callers_array_writeable():
+    """A chain keeps a read-only copy of a writeable kernel, and a read-only
+    kernel itself."""
+    k = np.array([[0.5, 0.5], [0.5, 0.5]])
+    chain = Chain(TWO_POINT, k)
+    k[0, 1] = 2.0
+    assert chain.kernel[0, 1] == 0.5 and not chain.kernel.flags.writeable
+    assert Chain(TWO_POINT, chain.kernel).kernel is chain.kernel

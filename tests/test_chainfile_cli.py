@@ -615,19 +615,6 @@ def test_failed_inequality_is_exit_1(runner, tmp_path, monkeypatch):
     assert "check failed: Prop. 29" in res.output
 
 
-def _claim_reversible(monkeypatch):
-    """bounds reads every chain as reversible, so the Cor. 30 Poincare
-    inequalities are checked where their hypothesis fails: on the
-    non-reversible reset walk their local ratio is about 1.5."""
-    invariant = coricci.bounds.invariant_distribution
-
-    def claimed(chain):
-        nu, _reversible, unique = invariant(chain)
-        return nu, True, unique
-
-    monkeypatch.setattr(coricci.bounds, "invariant_distribution", claimed)
-
-
 def _jumps(scale_first, scale_rest):
     """A patch of the jumps J(x) that bounds reads: J at the first point
     times scale_first, every other J times scale_rest."""
@@ -666,12 +653,6 @@ RESET = ("geometric_reset", "--alpha", "0.5", "--k", "20")
 CUBE3 = ("cube", "--n", "3")
 EXPCONC = ["expconc", "--origin", "0", "--radius", "2"]
 FORCED_EXIT_1 = {
-    "spectral-poincare": (
-        RESET, ["spectral"], _claim_reversible, "spectral radius / Poincare",
-        lambda doc: max(doc["poincare_local_ratio"], doc["poincare_gradient_ratio"]) > 1),
-    "verify-poincare": (
-        RESET, ["verify", "--all"], _claim_reversible, "poincare",
-        lambda doc: not doc["all_pass"]),
     "bounds-diameter": (
         CUBE3, ["bounds", "--geodesic", "1"], _jumps(0.5, 0.5), "diameter",
         lambda doc: doc["diameter_actual"] > doc["diameter_bound"]),

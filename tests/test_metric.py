@@ -406,3 +406,13 @@ def test_skeleton_stays_connected_where_a_sum_rounds(monkeypatch):
         tail, head = _skeleton_pairs(*kernel.skeleton(space.dist))
         assert list(zip(tail, head)) == [(0, 1), (0, 2), (1, 2)]
         assert w1_cost(Distribution.dirac(space, 0), Distribution.dirac(space, 1), space) == 1.0
+
+
+def test_space_leaves_the_callers_array_writeable():
+    """A space keeps a read-only copy of a writeable table, and a read-only
+    table itself."""
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    space = FiniteMetricSpace((0, 1), a)
+    a[0, 1] = 2.0
+    assert space.dist[0, 1] == 1.0 and not space.dist.flags.writeable
+    assert FiniteMetricSpace((0, 1), space.dist).dist is space.dist
