@@ -155,6 +155,14 @@ def bonnet_myers(chain: Chain, report=None):
     return diameter, per_pair, avg_bounds
 
 
+def _require_spread(sigma_inf: float):
+    """Raises DegenerateSupport when sigma_inf, the largest diameter of a
+    kernel row's support, is 0: every row is then a Dirac mass."""
+    if sigma_inf == 0:
+        raise DegenerateSupport(
+            "every kernel row is a Dirac mass, so n = inf n_x is undefined")
+
+
 def _variance_rhs(chain: Chain, kappa: float) -> float:
     """The right-hand side sigma^2 / (n kappa (2 - kappa)) of Prop. 31, with
     sigma^2 the nu-average of sigma(x)^2 and n = inf_x n_x."""
@@ -162,11 +170,8 @@ def _variance_rhs(chain: Chain, kappa: float) -> float:
     nu, _rev, _unique = invariant_distribution(chain)
     stats = _all_local_stats(chain)
     sigma2 = float(nu.weights @ np.array([s.sigma2 for s in stats]))
-    finite_n = [s.n_x for s in stats if s.n_x is not None]
-    if not finite_n:
-        raise DegenerateSupport(
-            "every kernel row is a Dirac mass, so n = inf n_x is undefined")
-    n_inf = min(finite_n)
+    _require_spread(max(s.sigma_inf for s in stats))
+    n_inf = min(s.n_x for s in stats if s.n_x is not None)
     return sigma2 / (n_inf * kappa * (2.0 - kappa))
 
 
@@ -222,6 +227,7 @@ def gaussian_concentration(chain: Chain, f, kappa: float) -> ConcentrationReport
     D2 = float(nu.weights @ D2_x)
     C = lipschitz_constant(chain.space, D2_x)
     sigma_inf = max(s.sigma_inf for s in stats)
+    _require_spread(sigma_inf)
     denom = max(2.0 * C, 3.0 * sigma_inf)
     t_max = 2.0 * D2 / denom
 
@@ -283,6 +289,7 @@ def range_gradient(space, f, lam: float) -> np.ndarray:
 def admissible_lambda(chain: Chain, U: float) -> float:
     """The Prop.-43 / Thm.-40 threshold 1/(24 sigma_inf (1 + U))."""
     sigma_inf = float(row_moments(chain)[2].max())
+    _require_spread(sigma_inf)
     return 1.0 / (24.0 * sigma_inf * (1.0 + U))
 
 

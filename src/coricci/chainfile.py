@@ -1,5 +1,13 @@
 """Versioned chain-file format: JSON with probabilities and distances
-serialized as decimal strings (repr) so round-trips are bit-exact."""
+serialized as decimal strings (repr) so round-trips are bit-exact.
+
+A matrix-form file's distance table is read from the strings json decodes
+in one pass of the transport kernel (decimal_table), with the bits float()
+gives.  A payload that pass does not take (numbers, spellings float()
+reads only after stripping whitespace or underscores, malformed rows) is
+converted entry by entry as before, and raises the same errors.  Rows of
+the metric, graph edges and kernel entries must be JSON lists; a string or
+an object in their place is an error that names it."""
 
 from __future__ import annotations
 
@@ -11,6 +19,7 @@ import numpy as np
 from .chain import Chain, build_chain
 from .errors import ChainFileError, CoricciError, RepeatedPoint
 from .metric import FiniteMetricSpace, space_from_edges, space_from_matrix
+from .transport import _kernel
 
 FORMAT_VERSION = 1
 
@@ -80,6 +89,17 @@ def save_chain(chain: Chain, path: str) -> None:
         fh.write(text)
 
 
+def _lists(payload, item: str) -> list:
+    """payload, when it is a list of lists; else the error that names the
+    first of its items that is not a list."""
+    if not isinstance(payload, list):
+        raise ChainFileError(f"field 'metric.payload': expected a list of {item}s")
+    for k, entry in enumerate(payload):
+        if not isinstance(entry, list):
+            raise ChainFileError(f"field 'metric.payload': {item} {k} is not a list")
+    return payload
+
+
 def parse_chain(doc: dict) -> Chain:
     if not isinstance(doc, dict):
         raise ChainFileError("top level must be an object")
@@ -96,10 +116,15 @@ def parse_chain(doc: dict) -> Chain:
         raise ChainFileError("field 'metric': expected an object with 'type'")
     try:
         if metric["type"] == "matrix":
-            rows = [list(map(float, row)) for row in metric["payload"]]
-            space = space_from_matrix(points, rows)
+            payload = metric["payload"]
+            # One kernel pass reads a table of decimal strings; any other
+            # payload is converted entry by entry, with the errors of float().
+            table = _kernel.decimal_table(payload) if type(payload) is list else None
+            if table is None:
+                table = [list(map(float, row)) for row in _lists(payload, "row")]
+            space = space_from_matrix(points, table)
         elif metric["type"] == "graph":
-            edges = [(u, v, float(w)) for u, v, w in metric["payload"]]
+            edges = [(u, v, float(w)) for u, v, w in _lists(metric["payload"], "edge")]
             space = space_from_edges(points, edges)
         else:
             raise ChainFileError(

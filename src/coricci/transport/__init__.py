@@ -15,7 +15,9 @@ holds the triangle check that coricci.metric runs on every distance table,
 the one-hop certificate its geodesic test tries first, and
 lipschitz_vertices, which enumerates the vertices of the 1-Lipschitz
 polytope for the exact maxVar of coricci.chain, the same vertices in the
-same order in both kernels.
+same order in both kernels, and decimal_table, which reads a chain file's
+distance table from its decimal strings with float()'s bits for
+coricci.chainfile.
 
 w1_cost is a second certified W1, made for full-support measures, which
 only curvature.contraction_check uses: a min-cost flow on the 1-skeleton of the

@@ -69,6 +69,15 @@
  * is 3-4 times faster than solve_pair, on a complete skeleton (128 random
  * points of the plane) about 1.4 times slower.
  *
+ * decimal_table(rows) reads a chain file's distance table from the strings
+ * json decoded: a list of n lists of n compact-ASCII str becomes the n x n
+ * float64 table in one pass, each string parsed to its end by
+ * PyOS_string_to_double, the parser float(str) calls, so the bits are
+ * float()'s.  Any other list gives None (a row of the wrong length or type,
+ * a number, whitespace, '_', a non-ASCII digit, an empty or partly parsed
+ * string); coricci.chainfile then converts the rows entry by entry.
+ * _mcf_py.decimal_table gives the same table, or None, on every input.
+ *
  * Hand-written against the CPython and numpy C APIs; it builds with a C
  * compiler and the numpy headers alone (see setup.py).  The module keeps the
  * name _mcf_cy because perfbench/run.py builds and checks this exact file.
@@ -1704,6 +1713,57 @@ static PyObject *lipschitz_vertices(PyObject *Py_UNUSED(self), PyObject *args)
     return out;
 }
 
+/* decimal_table(rows), as the header describes it; rows that is not a list
+ * raises TypeError. */
+static PyObject *decimal_table(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *rows, *row, *s, *out;
+    npy_intp n, dims[2], i, j;
+    const char *text;
+    char *end;
+    double *t, x;
+
+    if (!PyArg_ParseTuple(args, "O:decimal_table", &rows))
+        return NULL;
+    if (!PyList_CheckExact(rows))
+        return PyErr_Format(PyExc_TypeError, "decimal_table takes a list, not %.200s",
+                            Py_TYPE(rows)->tp_name);
+    n = PyList_GET_SIZE(rows);
+    if (n == 0)
+        Py_RETURN_NONE;
+    dims[0] = dims[1] = n;
+    if (!(out = PyArray_SimpleNew(2, dims, NPY_DOUBLE)))
+        return NULL;
+    t = PyArray_DATA((PyArrayObject *)out);
+    for (i = 0; i < n; i++) {
+        row = PyList_GET_ITEM(rows, i);
+        if (!PyList_CheckExact(row) || PyList_GET_SIZE(row) != n)
+            goto none;
+        for (j = 0; j < n; j++) {
+            s = PyList_GET_ITEM(row, j);
+            if (!PyUnicode_CheckExact(s) || !PyUnicode_IS_COMPACT_ASCII(s))
+                goto none;
+            text = PyUnicode_DATA(s);
+            x = *t++ = PyOS_string_to_double(text, &end, NULL);
+            /* An error means nothing was parsed, or no memory was left. */
+            if (x == -1.0 && PyErr_Occurred()) {
+                if (PyErr_ExceptionMatches(PyExc_MemoryError)) {
+                    Py_DECREF(out);
+                    return NULL;
+                }
+                PyErr_Clear();
+                goto none;
+            }
+            if (end != text + PyUnicode_GET_LENGTH(s))
+                goto none;
+        }
+    }
+    return out;
+none:
+    Py_DECREF(out);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"solve_transport", solve_transport, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_transport."},
@@ -1721,6 +1781,8 @@ static PyMethodDef methods[] = {
      "See coricci.transport._mcf_py.skeleton."},
     {"solve_flow", solve_flow, METH_VARARGS,
      "See coricci.transport._mcf_py.solve_flow."},
+    {"decimal_table", decimal_table, METH_VARARGS,
+     "See coricci.transport._mcf_py.decimal_table."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1728,8 +1790,9 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mcf_cy",
     "Compiled transport kernel: dense transportation, single certified pairs, "
     "batched pair scans, the triangle check of distance tables, the "
-    "one-hop geodesic certificate, the vertices of the 1-Lipschitz polytope behind exact maxVar, and W1 as a "
-    "min-cost flow on the 1-skeleton of a metric.",
+    "one-hop geodesic certificate, the vertices of the 1-Lipschitz polytope behind exact maxVar, "
+    "W1 as a min-cost flow on the 1-skeleton of a metric, and the distance "
+    "table of a chain file's decimal strings.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

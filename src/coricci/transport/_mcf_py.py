@@ -4,8 +4,9 @@ and batched pair scan built on both, the triangle check that
 coricci.metric runs on every distance table, its one-hop geodesic
 certificate, the enumeration of the
 vertices of the 1-Lipschitz polytope behind coricci.chain's exact maxVar,
-and W1 as a min-cost flow on the 1-skeleton of a metric (skeleton and
-solve_flow).
+W1 as a min-cost flow on the 1-skeleton of a metric (skeleton and
+solve_flow), and decimal_table, the distance table of a chain file's
+decimal strings.
 
 Fallback used when the C extension coricci.transport._mcf_cy is unavailable
 (or forced via CORICCI_PURE_PYTHON=1), and the reference that extension is
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "solve_transport", "solve_pair", "solve_pairs", "triangle_violation",
     "geodesic_certificate", "lipschitz_vertices", "skeleton", "solve_flow",
+    "decimal_table",
 ]
 
 _MASS_EPS = 1e-15
@@ -650,3 +652,30 @@ def lipschitz_vertices(dist):
             dedup.add(key)
             out.append(f)
     return np.array(out, dtype=np.float64).reshape(len(out), n)
+
+
+def decimal_table(rows):
+    """The n x n float64 table of rows, a list of n >= 1 lists of n ASCII
+    str, each entry parsed whole as float(str) parses it; None for any other
+    list of rows.  The C kernel parses each string to its end with
+    PyOS_string_to_double, the parser float() calls once it has stripped
+    whitespace, dropped underscores and mapped non-ASCII digits, so a string
+    that needs one of those steps gives None here too, as do a number, an
+    empty string and a string float() cannot read.  Raises TypeError when
+    rows is not a list."""
+    if type(rows) is not list:
+        raise TypeError(f"decimal_table takes a list, not {type(rows).__name__}")
+    n = len(rows)
+    if n == 0 or not all(type(row) is list and len(row) == n for row in rows):
+        return None
+    table = np.empty((n, n))
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            if (type(s) is not str or not s.isascii() or "_" in s
+                    or s[:1].isspace() or s[-1:].isspace()):
+                return None
+            try:
+                table[i, j] = float(s)
+            except ValueError:
+                return None
+    return table

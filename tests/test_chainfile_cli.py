@@ -30,7 +30,7 @@ from coricci.chainfile import dump_chain, load_chain, parse_chain, save_chain
 from coricci.cli import main
 from coricci.curvature import contraction_check, kappa_global
 from coricci.errors import ChainFileError, DegenerateSupport, InequalityFails
-from coricci.transport import MASS_ATOL, Distribution
+from coricci.transport import MASS_ATOL, Distribution, _mcf_py
 
 
 @pytest.fixture()
@@ -208,6 +208,121 @@ def test_parse_rejects_repeated_points(metric):
     with pytest.raises(ChainFileError) as exc:
         parse_chain(doc)
     assert str(exc.value) == "field 'points': point 'a' appears more than once"
+
+
+TWO_POINT_KERNEL = {"a": [["a", "0.5"], ["b", "0.5"]], "b": [["a", "0.5"], ["b", "0.5"]]}
+
+
+@pytest.mark.parametrize("metric, message", [
+    ({"type": "matrix", "payload": ["01", "10"]}, "row 0 is not a list"),
+    ({"type": "matrix", "payload": [{"0": 1, "1": 2}, {"1": 0, "0": 3}]}, "row 0 is not a list"),
+    ({"type": "matrix", "payload": [["0.0", "1.0"], "10"]}, "row 1 is not a list"),
+    ({"type": "matrix", "payload": "0110"}, "expected a list of rows"),
+    ({"type": "graph", "payload": ["ab1"]}, "edge 0 is not a list"),
+    ({"type": "graph", "payload": [{"a": 0, "b": 0, "2": 0}]}, "edge 0 is not a list"),
+    ({"type": "graph", "payload": {"a": "b"}}, "expected a list of edges"),
+])
+def test_parse_rejects_payload_rows_and_edges_that_are_not_lists(runner, tmp_path,
+                                                                 metric, message):
+    """A matrix row and a graph edge are JSON lists.  A string or an object
+    is not: ["01", "10"] used to load as d(a, b) = 1, read character by
+    character, and the edge ["ab1"] as a-b of weight 1."""
+    doc = {"format_version": 1, "points": ["a", "b"], "metric": metric,
+           "kernel": TWO_POINT_KERNEL}
+    message = f"field 'metric.payload': {message}"
+    with pytest.raises(ChainFileError) as exc:
+        parse_chain(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["curvature", str(path)])
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
+
+
+def _symmetric(v):
+    return [["0.0", v], [v, "0.0"]]
+
+
+LOADS = None  # the payload loads; kappa(a, b) = 1 on this kernel, whatever d(a, b)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([[0, 1], [1, 0]], LOADS),
+    (_symmetric(True), LOADS),
+    (_symmetric(" 1.0"), LOADS),
+    (_symmetric("1.0\t"), LOADS),
+    (_symmetric("1_0"), LOADS),
+    (_symmetric("１.0"), LOADS),
+    (_symmetric("nan"), "non-finite distance entry"),
+    (_symmetric("1e999"), "non-finite distance entry"),
+    (_symmetric("-1.0"), "negative distance entry"),
+    (_symmetric("0x1p3"), "malformed (could not convert string to float: '0x1p3')"),
+    (_symmetric(""), "malformed (could not convert string to float: '')"),
+    (_symmetric(None), "malformed (float() argument must be a string or a real number, "
+                       "not 'NoneType')"),
+    ([["0.0", "1.0"], ["1.0"]],
+     "malformed (setting an array element with a sequence. The requested array has an "
+     "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+     "inhomogeneous part.)"),
+    ([], "point count does not match matrix size"),
+    ([["0.0", "1.0", "1.0"], ["1.0", "0.0", "1.0"], ["1.0", "1.0", "0.0"]],
+     "point count does not match matrix size"),
+    ([["0.0", "1.0", "2.0"], ["1.0", "0.0", "2.0"]], "distance table is not square"),
+], ids=repr)
+def test_matrix_payloads_load_as_the_float_conversion_loads_them(runner, tmp_path,
+                                                                  monkeypatch, payload,
+                                                                  message):
+    """Whether the kernel reads the table (nan, 1e999) or leaves it to the
+    conversion by float() (numbers, whitespace, '_', a non-ASCII digit,
+    malformed rows), a matrix payload gives the exit code and output that
+    the conversion alone gives, which are the ones it always gave."""
+    doc = {"format_version": 1, "points": ["a", "b"],
+           "metric": {"type": "matrix", "payload": payload}, "kernel": TWO_POINT_KERNEL}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["curvature", str(path)])
+    if message is LOADS:
+        assert res.exit_code == 0 and json.loads(res.output)["pairs"][0]["kappa"] == 1.0
+    else:
+        assert (res.exit_code, res.output) == (2, f"error: field 'metric.payload': {message}\n")
+    monkeypatch.setattr(chainfile._kernel, "decimal_table", lambda rows: None)
+    fallback = runner.invoke(main, ["curvature", str(path)])
+    assert (fallback.exit_code, fallback.output) == (res.exit_code, res.output)
+
+
+def test_every_preset_file_reads_its_table_in_the_kernel(tmp_path, monkeypatch):
+    """A chain file save_chain writes, of every gallery preset, takes the
+    kernel's pass, never the entry-by-entry conversion, under both kernels,
+    and its table is bit-equal to float() of each decimal string."""
+    chains = [
+        gallery.cube(4), gallery.discrete_ou(4), gallery.multinomial(4, 2),
+        gallery.binomial(10, 0.3), gallery.glauber("cycle:5", 0.2),
+        gallery.geometric_reflect(K=30), gallery.geometric_reset(0.5, K=30),
+        gallery.mm_infty(2.0, 1.0, 1e-3, K=20), gallery.linear_rates(1.0, 1.5, 1e-3, K=40),
+        gallery.quadratic_rates(1.0, 1.0, 1e-6, K=150, tail_tol=1e-4),
+        gallery.pow2_jump(j=6),
+    ]
+    assert len(chains) == len(gallery.PRESETS)
+    for kernel in (_mcf_py, coricci.transport._kernel):
+        tables = []
+
+        def spy(rows, read=kernel.decimal_table):
+            tables.append(read(rows))
+            return tables[-1]
+
+        monkeypatch.setattr(chainfile, "_kernel", kernel)
+        monkeypatch.setattr(kernel, "decimal_table", spy)
+        for chain in chains:
+            path = tmp_path / "preset.json"
+            save_chain(chain, str(path))
+            dist = load_chain(str(path)).space.dist
+            assert tables.pop() is not None
+            payload = json.loads(path.read_text())["metric"]["payload"]
+            reference = np.array([[float(v) for v in row] for row in payload])
+            assert np.array_equal(dist.view(np.uint64), reference.view(np.uint64))
+            assert np.array_equal(dist.view(np.uint64),
+                                  np.asarray(chain.space.dist, dtype=np.float64).view(np.uint64))
+        monkeypatch.undo()
 
 
 def _reference_chain_text(chain):
@@ -588,7 +703,10 @@ def test_unexpected_error_is_input_error(runner, tmp_path, monkeypatch):
 
 def test_all_dirac_rows_are_degenerate_support(runner, tmp_path):
     """Every point jumps to one point: kappa = 1, but n = inf n_x has no
-    finite n_x to take the infimum over."""
+    finite n_x to take the infimum over.  Thm. 32's divisor
+    max(2C, 3 sigma_inf) and Thm. 40's sigma_inf are 0 there, so
+    concentration and logsobolev say so too, not "float division by
+    zero"."""
     cube = gallery.cube(3)
     kernel = np.zeros((cube.n, cube.n))
     kernel[:, 0] = 1.0
@@ -596,7 +714,7 @@ def test_all_dirac_rows_are_degenerate_support(runner, tmp_path):
     save_chain(coricci.chain.build_chain(cube.space, kernel), path)
     with pytest.raises(DegenerateSupport):
         coricci.bounds.variance_bound(load_chain(path), 1.0)
-    for cmd in ("bounds", "verify"):
+    for cmd in ("bounds", "verify", "concentration", "logsobolev"):
         res = runner.invoke(main, [cmd, path])
         assert res.exit_code == 2
         assert res.output.endswith(

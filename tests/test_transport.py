@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -793,3 +794,99 @@ def test_lipschitz_vertices_reports_failed_allocation(pure_python):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.stdout.strip() == f"{backend} MemoryError", proc.stderr
+
+
+# ------------------------------------------------ decimal tables of chain files
+
+KERNELS = (_mcf_py, transport._kernel)  # the C kernel when built
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _float_table(rows):
+    return np.array([[float(s) for s in row] for row in rows], dtype=np.float64)
+
+
+def test_decimal_table_equals_float_on_random_bit_patterns():
+    """On the reprs of 40,000 random bit patterns (NaNs, subnormals and
+    infinities among them) and of the extremes, both kernels give float()'s
+    bits, and a table of the float64 shape."""
+    rng = np.random.default_rng(2401)
+    values = np.concatenate([rng.integers(0, 2 ** 64, size=40_000 - len(EXTREMES),
+                                          dtype=np.uint64).view(np.float64), EXTREMES])
+    rows = [list(map(repr, row)) for row in values.reshape(200, 200).tolist()]
+    for kernel in KERNELS:
+        table = kernel.decimal_table(rows)
+        assert table.dtype == np.float64 and table.shape == (200, 200)
+        assert np.array_equal(_bits(table), _bits(_float_table(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_decimal_table_property_equals_float(n, data):
+    """Any n x n table of reprs (of bit patterns, of floats hypothesis picks
+    and of the extremes) reads as float() reads each entry, bit for bit, in
+    both kernels."""
+    bits = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    entries = st.one_of(bits, st.floats(), st.sampled_from(EXTREMES))
+    values = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    rows = [list(map(repr, values[i * n:(i + 1) * n])) for i in range(n)]
+    expected = _bits(_float_table(rows))
+    for kernel in KERNELS:
+        assert np.array_equal(_bits(kernel.decimal_table(rows)), expected)
+
+
+class _Text(str):
+    """A str subclass; float() would call its __float__."""
+
+    def __float__(self):
+        return 2.0
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1.0]],
+    [[1]],
+    [[True]],
+    [[None]],
+    [[" 1.0"]],
+    [["1.0 "]],
+    [["1.0\n"]],
+    [["1_0"]],
+    [["１.0"]],
+    [["١"]],
+    [[""]],
+    [["1.0x"]],
+    [["1.0.0"]],
+    [["1e"]],
+    [["0x1p3"]],
+    [["1\x000"]],
+    [["nan(1)"]],
+    [[_Text("1.0")]],
+    [["0.0", "1.0"], ["1.0"]],
+    [["0.0"], ["1.0"]],
+    [["0.0", "1.0", "2.0"], ["1.0", "0.0", "2.0"]],
+    [["0.0", "1.0"], "10"],
+    [["0.0", "1.0"], {"0": 1, "1": 0}],
+    [["0.0", "1.0"], ("1.0", "0.0")],
+    [["0.0", "1.0"], ["1.0", 0.0]],
+], ids=repr)
+def test_decimal_table_is_none_where_float_would_read_more(rows):
+    """Both kernels return None on the same inputs: no rows, a row that is
+    not a list or has the wrong length, a number, whitespace, '_', a
+    non-ASCII digit, an empty string, a string parsed only in part and a
+    str subclass."""
+    for kernel in KERNELS:
+        assert kernel.decimal_table(rows) is None
+
+
+@pytest.mark.parametrize("rows", ["0.0", ("0.0",), None, {"a": ["0.0"]}, np.zeros((1, 1))],
+                         ids=repr)
+def test_decimal_table_rejects_a_non_list(rows):
+    for kernel in KERNELS:
+        with pytest.raises(TypeError, match="decimal_table takes a list"):
+            kernel.decimal_table(rows)
